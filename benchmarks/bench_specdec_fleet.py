@@ -135,7 +135,7 @@ def test_specdec_fleet(benchmark):
         assert digest == pinned[name], (
             f"specdec-off scenario {name!r} drifted from its pin"
         )
-    assert len(recomputed) == 20
+    assert len(recomputed) == 22
 
     write_bench_json(
         JSON_PATH,

@@ -32,6 +32,7 @@ from repro.serving.cluster import (
     DecodePodSpec,
     PrefillPolicy,
     PrefillQueueStats,
+    SimulationStalled,
     disaggregated_cluster,
     gpu_only_cluster,
     simulate,
@@ -122,6 +123,7 @@ __all__ = [
     "RequestGenerator",
     "RequestTable",
     "Reservation",
+    "SimulationStalled",
     "SwapPolicy",
     "TrafficClass",
     "disaggregated_cluster",

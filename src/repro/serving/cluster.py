@@ -148,6 +148,14 @@ from repro.util.tables import Table
 STEP_CONTEXT_BUCKET = 512
 
 
+class SimulationStalled(RuntimeError):
+    """A run's event calendar drained while requests were still neither
+    completed, shed nor rejected: some actor stopped scheduling the
+    events that would have resolved them.  The message names up to ten
+    stranded requests with the last lifecycle stage each reached, and
+    every decode pod's queue, batch and parked counts."""
+
+
 class PrefillPolicy(enum.Enum):
     """Order the shared prefill service queue is drained in.
 
@@ -221,6 +229,11 @@ class PrefillPod:
     def engine(self) -> object:
         """The platform's underlying system (compatibility accessor)."""
         return self.platform.engine
+
+    def idle(self, now: float) -> bool:
+        """Can this pod start a queued job at ``now``?  Active, not
+        draining, and past its current booking."""
+        return self.busy_until_s <= now and self.active and not self.draining
 
     def serve(
         self, request: Request, now: float, *, context_tokens: int | None = None
@@ -1897,6 +1910,34 @@ class ClusterSim:
         ``on_prefix_change`` hook rather than summed over pods."""
         return self._fleet_epoch
 
+    # Runs after every event: under REPRO_CHECK, fingerprinting all of
+    # ``self`` (calendar, request table, every pod) per sampled call
+    # costs far more than the run itself, so nothing is watched.  The
+    # static purity lint still covers the body and the runtime
+    # @mutates guard still applies.
+    @pure_probe(watch=())
+    def _drain_blocked(self, now: float) -> bool:
+        """Would :meth:`_drain_prefill_queue` pull nothing at ``now``?
+
+        True when the queue is empty, or when no active, non-draining
+        prefill pod is idle and the fully cached bypass scan is current
+        (bypass off, or no prefix block registered or reclaimed since
+        the last scan found nothing to forward).  A blocked drain stays
+        blocked until the next non-``_STEP`` event: a busy pod frees
+        only at its own ``_PREFILL_DONE``, jobs enqueue only on
+        arrivals and resumes, and quiet decode boundaries register and
+        reclaim no prefix blocks -- which is what lets the bulk lane
+        chain steps over a non-empty queue."""
+        if not self._queue:
+            return True
+        for p in self.prefill_pods:
+            if p.idle(now):
+                return False
+        return (
+            not self._bypass_enabled
+            or self._prefix_epoch() == self._bypass_epoch
+        )
+
     def _drain_prefill_queue(self, now: float) -> None:
         """Pull queued jobs into service (called after every event).
         Each loop iteration forwards one fully cached job for free or
@@ -1905,16 +1946,8 @@ class ClusterSim:
         # Invariant across the whole drain: pulling jobs pins blocks
         # and books pods, but never registers or reclaims trie blocks.
         epoch = self._prefix_epoch() if self._bypass_enabled else -1
-        while self._queue:
-            idle = [
-                p for p in self.prefill_pods
-                if p.busy_until_s <= now and p.active and not p.draining
-            ]
-            if not idle:
-                if not self._bypass_enabled:
-                    return
-                if epoch == self._bypass_epoch:
-                    return  # nothing newly resident since the last scan
+        while not self._drain_blocked(now):
+            idle = [p for p in self.prefill_pods if p.idle(now)]
             job = self._next_job(now, have_idle=bool(idle), epoch=epoch)
             if job is None:
                 if not idle:
@@ -2170,7 +2203,14 @@ class ClusterSim:
         if pod.scheduler.batch_size == 0:
             pod.stepping = False
             return
-        if not admitted and not self._queue and self._bulk_quiet_steps(now, pod):
+        # Bulk quiet lane: only when nothing was admitted here and the
+        # prefill drain cannot act before the next non-_STEP event (an
+        # empty queue, or one whose jobs all wait on a busy pod).
+        if (
+            not admitted
+            and self._drain_blocked(now)
+            and self._bulk_quiet_steps(now, pod)
+        ):
             return
         batch = pod.scheduler.batch_size
         context = pod.scheduler.mean_context_len()
@@ -2279,12 +2319,19 @@ class ClusterSim:
         inside one event, skipping the per-step calendar round-trips.
 
         A step boundary is quiet when nothing observable can happen at
-        it: the cluster prefill queue is empty and nothing was admitted
-        at this boundary (both checked by the caller; admissibility is
-        a pure predicate when it denies, so a blocked pod queue stays
-        blocked at every chained boundary), every running sequence is
-        decoding with its first token already stamped, and no sequence
-        finishes within the span.  A sequence *growing a KV block* stays
+        it.  The caller checks two conditions: nothing was admitted at
+        this boundary (admissibility is a pure predicate when it
+        denies, so a blocked pod queue stays blocked at every chained
+        boundary), and the prefill drain is blocked
+        (:meth:`_drain_blocked`: the queue is empty, or every active
+        prefill pod is busy until its own ``_PREFILL_DONE`` and the
+        fully cached bypass scan is current), which holds until the
+        horizon below.  This method checks the batch: every running
+        sequence is decoding with its first token already stamped, and
+        none parks or finishes within the span.  A sequence's next
+        tool-call pause sits at a fixed token index, so it is a trigger
+        boundary just like its finish; the span stops before whichever
+        comes first.  A sequence *growing a KV block* stays
         quiet as long as the block fits the free pool outright -- the
         growth is then pure ledger arithmetic, replayed with the exact
         float-operation order of :meth:`ContinuousBatchScheduler.advance`
@@ -2314,21 +2361,23 @@ class ClusterSim:
         active = scheduler.active
         paged = scheduler.reservation is Reservation.PAGED
         block_tokens = scheduler.block_tokens
-        # Boundaries until some sequence finishes; boundary i is quiet
-        # iff i < quiet (block growth is carried inside the span, see
-        # below).
+        # Boundaries until some sequence finishes or parks; boundary i
+        # is quiet iff i < quiet (block growth is carried inside the
+        # span, see below).
         boundaries = 1 << 60
         total = 0  # summed context_len, for the batch-mean step cost
         for entry in active:
             if entry.prefill_remaining > 0 or entry.first_token_s is None:
                 return False
-            if entry.pauses_taken < len(entry.request.tool_pauses):
-                # A pending tool-call pause is an observable boundary
-                # the walkers cannot predict.
-                return False
             request = entry.request
             done = entry.tokens_done
-            quiet = request.decode_len - done - 1  # finishes at this one
+            # Trigger: the sequence parks at its next tool-call pause
+            # (a fixed token index, strictly before its finish and
+            # strictly after ``done``) or else finishes.
+            pauses = request.tool_pauses
+            taken = entry.pauses_taken
+            stop = pauses[taken][0] if taken < len(pauses) else request.decode_len
+            quiet = stop - done - 1  # parks or finishes at this one
             if quiet < boundaries:
                 boundaries = quiet
             total += request.prompt_len + done + 1
@@ -2515,9 +2564,10 @@ class ClusterSim:
         probes, every sequence mid-decode, no trigger at its very next
         boundary), only its own first *trigger* boundary caps the span,
         not its quiet boundaries in between.  Quiet boundaries of
-        different pods commute -- they touch disjoint pod-local state
-        and the shared prefill queue stays empty -- so leaping over
-        them cannot change any digest-visible ordering.  Each quiet pod
+        different pods commute -- they touch disjoint pod-local state,
+        and the prefill drain the caller found blocked stays blocked
+        until the horizon -- so leaping over them cannot change any
+        digest-visible ordering.  Each quiet pod
         contributes a resumable walk state; the caller advances it
         lazily, never past its own clock, so walk work is bounded by
         the span actually committed rather than by the other pod's
@@ -2548,8 +2598,11 @@ class ClusterSim:
     def _pod_quiet_state(self, pod: DecodePod, start: float) -> list | None:
         """Resumable quiet-chain walk state for ``pod``'s pending step
         chain beginning at ``start``; ``None`` when its next boundary
-        is observable (admission, first token, or finish), ``[]`` when
-        the chain parks (empty batch, empty-or-blocked queue).  Pure:
+        is observable (admission, first token, tool-call park or
+        finish), ``[]`` when the chain parks (empty batch,
+        empty-or-blocked queue).  A pending tool pause bounds the walk
+        like a finish does: its token index is fixed, so the walk ends
+        at it as the pod's trigger.  Pure:
         probes use the side-effect-free admission mirrors, block
         growths are simulated on a virtual pool ledger, and a blocked
         queue stays blocked across the walked boundaries because
@@ -2570,11 +2623,12 @@ class ClusterSim:
         for entry in active:
             if entry.prefill_remaining > 0 or entry.first_token_s is None:
                 return None
-            if entry.pauses_taken < len(entry.request.tool_pauses):
-                return None  # pending tool pause: observable boundary
             request = entry.request
             done = entry.tokens_done
-            quiet = request.decode_len - done - 1
+            pauses = request.tool_pauses
+            taken = entry.pauses_taken
+            stop = pauses[taken][0] if taken < len(pauses) else request.decode_len
+            quiet = stop - done - 1  # next park or finish, as in the lane
             if quiet < boundaries:
                 boundaries = quiet
             total += request.prompt_len + done + 1
@@ -2863,6 +2917,54 @@ class ClusterSim:
         return True
 
     # -- run -----------------------------------------------------------
+    def _stall_report(self, records: list[RequestRecord]) -> str:
+        """The :class:`SimulationStalled` message: where each of up to
+        ten stranded requests last stood, then every decode pod's
+        queue, batch and parked counts."""
+        stage: dict[int, str] = {}
+        for job in self._queue:
+            stage[job.record.request.request_id] = (
+                f"queued at {job.enqueued_s!r} s"
+            )
+        for pod in self.decode_pods:
+            scheduler = pod.scheduler
+            for queued in scheduler.queue:
+                record = self._records_by_id[queued.request.request_id]
+                stage[queued.request.request_id] = (
+                    f"hand-off to {pod.pod_id} at {record.transfer_end_s!r} s"
+                )
+            for entry in scheduler.active:
+                stage[entry.request.request_id] = (
+                    f"admitted on {pod.pod_id} at {entry.admitted_s!r} s"
+                )
+            for entry in scheduler.parked:
+                stage[entry.request.request_id] = (
+                    f"parked on {pod.pod_id} at token {entry.tokens_done}"
+                )
+        stranded = [r for r in records if not (r.done or r.rejected or r.shed)]
+        lines = [
+            f"simulation stalled: {len(stranded)} of {len(records)} requests "
+            f"unresolved (tally {self._unresolved}), {len(self._queue)} "
+            "jobs left in the prefill queue"
+        ]
+        for record in stranded[:10]:
+            request_id = record.request.request_id
+            where = stage.get(request_id) or (
+                f"prefill at {record.prefill_start_s!r} s, "
+                "then in no queue, batch or parked list"
+            )
+            lines.append(f"  request {request_id}: {where}")
+        if len(stranded) > 10:
+            lines.append(f"  ... and {len(stranded) - 10} more")
+        for pod in self.decode_pods:
+            scheduler = pod.scheduler
+            lines.append(
+                f"  {pod.pod_id}: queue {len(scheduler.queue)}, "
+                f"batch {len(scheduler.active)}, "
+                f"parked {len(scheduler.parked)}"
+            )
+        return "\n".join(lines)
+
     def run(self, requests: list[Request]) -> ClusterReport:
         """Simulate until every submitted request completes (or is
         rejected) and all pods drain."""
@@ -2953,7 +3055,8 @@ class ClusterSim:
             observe=self._observe_event if self._obs is not None else None,
         )
 
-        assert not self._queue, "prefill service queue did not drain"
+        if self._queue or self._unresolved != 0:
+            raise SimulationStalled(self._stall_report(records))
         obs = self._obs
         trace = timeline = None
         if obs is not None:

@@ -43,7 +43,7 @@ import inspect
 import os
 from collections.abc import Callable
 from functools import wraps
-from typing import Any, TypeVar
+from typing import Any, TypeVar, overload
 
 __all__ = [
     "PurityViolation",
@@ -234,6 +234,16 @@ def checked_mutator(fn: F) -> F:
 
     wrapper.__simlint_mutates__ = True  # type: ignore[attr-defined]
     return wrapper  # type: ignore[return-value]
+
+
+@overload
+def pure_probe(fn: F, *, watch: tuple[str, ...] | None = None) -> F: ...
+
+
+@overload
+def pure_probe(
+    fn: None = None, *, watch: tuple[str, ...] | None = None
+) -> Callable[[F], F]: ...
 
 
 def pure_probe(

@@ -14,6 +14,7 @@ from repro.serving.cluster import (
     ClusterSim,
     DecodePodSpec,
     PrefillPolicy,
+    SimulationStalled,
     disaggregated_cluster,
     gpu_only_cluster,
     simulate,
@@ -26,7 +27,7 @@ from repro.serving.requests import (
     prefix_founders,
     reasoning_traffic,
 )
-from repro.serving.scheduler import Policy, Reservation
+from repro.serving.scheduler import ContinuousBatchScheduler, Policy, Reservation
 
 
 def single_pod_config(model, *, num_cus=128, decode_len=2048, seq_len=8192):
@@ -119,6 +120,66 @@ class TestConservationAndDeterminism:
         report = simulate(config, [huge, small])
         assert [r.request.request_id for r in report.rejected] == [0]
         assert [r.request.request_id for r in report.completed] == [1]
+
+
+class TestLiveness:
+    """A run whose calendar drains with requests still unresolved must
+    raise :class:`SimulationStalled` (a real exception, not an
+    ``assert`` that ``python -O`` strips), naming where the stranded
+    requests stood.  Each test forces a stall by breaking one actor."""
+
+    @staticmethod
+    def _stall(monkeypatch, target, name, replacement):
+        monkeypatch.setattr(target, name, replacement)
+        requests = [
+            Request(i, 0.1 * i, LLAMA3_8B, prompt_len=256, decode_len=32)
+            for i in range(12)
+        ]
+        config = disaggregated_cluster(LLAMA3_8B, kv_budget_bytes=2e8)
+        with pytest.raises(SimulationStalled) as info:
+            simulate(config, requests)
+        return str(info.value)
+
+    def test_admit_that_never_admits(self, monkeypatch):
+        message = self._stall(
+            monkeypatch, ContinuousBatchScheduler, "admit",
+            lambda self, now: [],
+        )
+        assert message.startswith(
+            "simulation stalled: 12 of 12 requests unresolved (tally 12), "
+            "0 jobs left in the prefill queue"
+        )
+        stranded = [line for line in message.splitlines()
+                    if line.startswith("  request ")]
+        assert len(stranded) == 10
+        assert all(" hand-off to decode" in line for line in stranded)
+        assert "  ... and 2 more" in message
+        assert "  decode0: queue 6, batch 0, parked 0" in message
+        assert "  decode1: queue 6, batch 0, parked 0" in message
+
+    def test_prefill_queue_that_never_drains(self, monkeypatch):
+        message = self._stall(
+            monkeypatch, ClusterSim, "_drain_prefill_queue",
+            lambda self, now: None,
+        )
+        assert "12 jobs left in the prefill queue" in message
+        assert "  request 0: queued at 0.0 s" in message
+
+    def test_batch_that_never_steps(self, monkeypatch):
+        def admit_only(self, now, pod):
+            pod.scheduler.admit(now)
+            pod.stepping = False
+
+        message = self._stall(monkeypatch, ClusterSim, "_on_step", admit_only)
+        assert "  request 0: admitted on decode0 at " in message
+        assert "  decode0: queue 0, batch 6, parked 0" in message
+
+    def test_request_lost_after_prefill(self, monkeypatch):
+        message = self._stall(
+            monkeypatch, ClusterSim, "_on_kv_arrive",
+            lambda self, now, pod, record: None,
+        )
+        assert "then in no queue, batch or parked list" in message
 
 
 class TestRoutingAndPolicies:

@@ -322,7 +322,7 @@ def _fleet_ops():
     return config, TrafficSpec(tenants=tenants).requests(LLAMA3_8B)
 
 
-def _reasoning_requests():
+def _reasoning_requests(rate=2.0):
     """CoT bursts with tool pauses plus self-consistency fan-out --
     the PR 10 traffic structure, at digest-friendly scale."""
     classes = (
@@ -339,7 +339,7 @@ def _reasoning_requests():
             self_consistency_n=4,
         ),
     )
-    gen = RequestGenerator(classes=classes, rate_rps=2.0, seed=53)
+    gen = RequestGenerator(classes=classes, rate_rps=rate, seed=53)
     return gen.generate(10.0)
 
 
@@ -496,6 +496,25 @@ SCENARIOS = {
         ),
         _reasoning_requests(),
     ),
+    # Reasoning traffic without specdec, so tool pauses and a busy
+    # prefill queue run through the bulk quiet lane: device parks with
+    # recompute preemptions, then swapped parks over the host tier.
+    "reasoning_device_parks": lambda: (
+        _base(
+            LLAMA3_70B, 3e9,
+            prefix_caching=True,
+            swap_policy=SwapPolicy.NEVER,
+        ),
+        _reasoning_requests(rate=3.0),
+    ),
+    "reasoning_swap_parks": lambda: (
+        _base(
+            LLAMA3_70B, 3e9,
+            prefix_caching=True,
+            swap_policy=SwapPolicy.AUTO,
+        ),
+        _reasoning_requests(),
+    ),
 }
 
 #: Pinned on the pre-refactor checkout (PR 6 code path).  Do not
@@ -528,6 +547,12 @@ DIGESTS = {
     # pins above were verified unchanged in the same run).
     "specdec_fleet": "a6c8bf29abb0aa86dffd5f766ba943e33e5464ab0fcfe31c6e3765618b6c2d8d",
     "specdec_reasoning": "b46a841cc6c62515a4bd32006409f421f8e07d13047652ea7ae06c768e47c7ca",
+    # Reasoning traffic through the bulk quiet lane, pinned on the
+    # simulator whose lane still fell back to per-step decode at every
+    # pending tool pause and non-empty prefill queue (same capture
+    # tool; the 22 pins above were verified unchanged in the same run).
+    "reasoning_device_parks": "c2aa85aee0ebf52b990b293844e694ef8337dc43db02a0ada1911f01a27386d5",
+    "reasoning_swap_parks": "6539a55357fdf6c91937f084703c3a85047b0956c218e89d1040103a8c67984e",
 }
 
 
