@@ -322,7 +322,7 @@ class ClusterSim:
         self.prefill_pods = [
             PrefillPod(
                 pod_id=f"prefill{i}",
-                platform=as_platform(engine, warn=True),
+                platform=as_platform(engine),
                 weight_dtype=config.weight_dtype,
                 kv_dtype=config.kv_dtype,
             )
@@ -337,7 +337,7 @@ class ClusterSim:
         """One decode pod per the config's serving point (also the
         autoscaler's factory when it grows the pool past the roster)."""
         config = self.config
-        platform = as_platform(spec.engine, warn=True)
+        platform = as_platform(spec.engine)
         budget = config.kv_budget_bytes or platform.kv_budget_bytes(
             spec.model, config.weight_dtype
         )

@@ -14,7 +14,7 @@ from pathlib import Path
 from conftest import emit
 
 from _emit import write_bench_json
-from repro.analysis.cluster_sweep import autoscaler_sweep
+from repro.analysis.cluster_sweep import sweep
 from repro.api import PodGroup, Scenario, TrafficSpec
 from repro.models.llama3 import LLAMA3_70B
 from repro.serving import (
@@ -31,6 +31,7 @@ from repro.util.tables import Table
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_fleet_ops.json"
 
 KV_BUDGET_BYTES = 1e9  # equal per-pod budget, tight enough to bind
+PEAK_SCALES = (2.0, 4.0)
 
 
 def _roster() -> tuple[TenantSpec, ...]:
@@ -90,12 +91,64 @@ def _fleet(*, elastic: bool) -> Scenario:
     )
 
 
+def _autoscaler_sweep():
+    """Static peak-provisioned fleet vs an elastic one on the same
+    flash-crowd reasoning trace, at each spike multiple of a 0.5 RPS
+    base.  The static fleet keeps 4 decode pods for the whole run and
+    pays for them; the elastic fleet starts at 1, scales up through the
+    spike and drains back down afterwards."""
+    base = Scenario(
+        model=LLAMA3_70B,
+        traffic=TrafficSpec(decode_mean=4096),
+        kv_budget_bytes=3e9,
+    )
+    return sweep(
+        base,
+        [
+            {"traffic.trace": ArrivalTrace.flash_crowd(0.5, 20.0, peak_rps=0.5 * peak)}
+            for peak in PEAK_SCALES
+        ],
+        [
+            {"decode": (PodGroup("rpu", count=4),)},
+            {
+                "decode": (PodGroup("rpu", count=1),),
+                "autoscaler": AutoscalerConfig(
+                    min_decode_pods=1,
+                    max_decode_pods=4,
+                    min_prefill_pods=2,
+                    max_prefill_pods=2,
+                ),
+            },
+        ],
+    )
+
+
+def _scaling_point(peak, point, report):
+    """One autoscaler-sweep row, as emitted."""
+    return {
+        "peak_scale": peak,
+        "elastic": point.autoscaler is not None,
+        "goodput": report.goodput,
+        "ttft_p95_s": report.ttft_percentile(95),
+        "completed": len(report.completed),
+        "scale_ups": sum(1 for e in report.scaling_events if e.action == "up"),
+        "scale_downs": sum(
+            1 for e in report.scaling_events if e.action == "down"
+        ),
+        "cost_usd": report.cost_usd,
+        "usd_per_mtok": report.usd_per_mtok,
+    }
+
+
 def build():
     static = _fleet(elastic=False).run()
     elastic = _fleet(elastic=True).run()
-    scaling = autoscaler_sweep(
-        LLAMA3_70B, peak_scales=(2.0, 4.0), duration_s=20.0
-    )
+    # Rows run peak-major: the static fleet, then the elastic one.
+    peaks = [peak for peak in PEAK_SCALES for _ in ("static", "elastic")]
+    scaling = [
+        _scaling_point(peak, *row)
+        for peak, row in zip(peaks, _autoscaler_sweep())
+    ]
     return static, elastic, scaling
 
 
@@ -135,9 +188,10 @@ def test_fleet_ops(benchmark):
     )
     for p in scaling:
         scaling_table.add_row([
-            f"{p.peak_scale:g}x", "elastic" if p.elastic else "static",
-            f"{p.goodput:.0%}", f"{p.ttft_p95_s:.2f}",
-            f"{p.scale_ups} / {p.scale_downs}", f"{p.usd_per_mtok:.2f}",
+            f"{p['peak_scale']:g}x", "elastic" if p["elastic"] else "static",
+            f"{p['goodput']:.0%}", f"{p['ttft_p95_s']:.2f}",
+            f"{p['scale_ups']} / {p['scale_downs']}",
+            f"{p['usd_per_mtok']:.2f}",
         ])
     emit(tenant_table, fleet_table, scaling_table)
 
@@ -173,10 +227,10 @@ def test_fleet_ops(benchmark):
     # on $/Mtok at comparable goodput on every spike multiple ----------
     by_peak = {}
     for p in scaling:
-        by_peak.setdefault(p.peak_scale, {})[p.elastic] = p
+        by_peak.setdefault(p["peak_scale"], {})[p["elastic"]] = p
     for peak, pair in by_peak.items():
-        assert pair[True].usd_per_mtok < pair[False].usd_per_mtok
-        assert pair[True].goodput >= pair[False].goodput - 0.10
+        assert pair[True]["usd_per_mtok"] < pair[False]["usd_per_mtok"]
+        assert pair[True]["goodput"] >= pair[False]["goodput"] - 0.10
 
     write_bench_json(
         JSON_PATH,
@@ -184,7 +238,7 @@ def test_fleet_ops(benchmark):
         config={
             "model": LLAMA3_70B.name,
             "kv_budget_bytes": KV_BUDGET_BYTES,
-            "peak_scales": [2.0, 4.0],
+            "peak_scales": list(PEAK_SCALES),
             "sweep_duration_s": 20.0,
         },
         metrics={
@@ -195,20 +249,7 @@ def test_fleet_ops(benchmark):
                 "static": static.to_json(),
                 "elastic": elastic.to_json(),
             },
-            "autoscaler_sweep": [
-                {
-                    "peak_scale": p.peak_scale,
-                    "elastic": p.elastic,
-                    "goodput": p.goodput,
-                    "ttft_p95_s": p.ttft_p95_s,
-                    "completed": p.completed,
-                    "scale_ups": p.scale_ups,
-                    "scale_downs": p.scale_downs,
-                    "cost_usd": p.cost_usd,
-                    "usd_per_mtok": p.usd_per_mtok,
-                }
-                for p in scaling
-            ],
+            "autoscaler_sweep": scaling,
         },
     )
     emit(f"wrote {JSON_PATH.name}")

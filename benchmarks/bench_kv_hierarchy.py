@@ -10,21 +10,18 @@ from pathlib import Path
 from conftest import emit
 
 from _emit import write_bench_json
-from repro.analysis.cluster_sweep import prefix_hit_sweep, swap_crossover_sweep
+from repro.analysis.cluster_sweep import prefix_hit_sweep, swap_costs, swap_crossover_sweep
 from repro.api import PodGroup, agentic_fanout
 from repro.models.llama3 import LLAMA3_70B
 from repro.util.tables import Table
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_kv_hierarchy.json"
+HOST_LINK_GBPS = (100.0, 25.0, 6.0, 1.5)
 
 
 def build():
-    hit_points = prefix_hit_sweep(
-        LLAMA3_70B, share_probs=(0.0, 0.5, 0.9)
-    )
-    crossover = swap_crossover_sweep(
-        LLAMA3_70B, host_link_gbps=(100.0, 25.0, 6.0, 1.5)
-    )
+    hit_rows = prefix_hit_sweep(LLAMA3_70B, share_probs=(0.0, 0.5, 0.9))
+    crossover_rows = swap_crossover_sweep(LLAMA3_70B, host_link_gbps=HOST_LINK_GBPS)
     # The acceptance scenario: agentic fan-out at equal KV budget on a
     # prefill-bound fleet, identical traffic, caching off vs on.
     scenario_kwargs = dict(
@@ -36,13 +33,56 @@ def build():
         LLAMA3_70B, **scenario_kwargs, prefix_caching=False
     ).run(requests)
     cached = cached_scenario.run(requests)
-    return hit_points, crossover, uncached, cached
+    return hit_rows, crossover_rows, uncached, cached
+
+
+def _hit_point(uncached_row, cached_row):
+    """One share level's caching-off and caching-on rows, as emitted."""
+    (point, off), (_, on) = uncached_row, cached_row
+    return {
+        "share_prob": point.traffic.prefix_share_prob,
+        "hit_rate": on.prefix_hit_rate,
+        "goodput_uncached": off.goodput,
+        "goodput_cached": on.goodput,
+        "ttft_p50_uncached_s": off.ttft_percentile(50),
+        "ttft_p50_cached_s": on.ttft_percentile(50),
+        "tokens_per_s_uncached": off.arrival_window_tokens_per_s,
+        "tokens_per_s_cached": on.arrival_window_tokens_per_s,
+    }
+
+
+def _crossover_point(gbps, never_row, always_row, auto_row):
+    """One host link's NEVER, ALWAYS and AUTO rows, as emitted."""
+    (point, never), (_, always), (_, auto) = never_row, always_row, auto_row
+    swap_s, recompute_s = swap_costs(point)
+    return {
+        "host_link_gbps": gbps,
+        "swap_s": swap_s,
+        "recompute_s": recompute_s,
+        "auto_swap_fraction": (
+            auto.total_swaps / auto.total_preemptions
+            if auto.total_preemptions
+            else 0.0
+        ),
+        "e2e_p95_recompute_s": never.e2e_percentile(95),
+        "e2e_p95_swap_s": always.e2e_percentile(95),
+        "e2e_p95_auto_s": auto.e2e_percentile(95),
+    }
 
 
 def test_kv_hierarchy(benchmark):
-    hit_points, crossover, uncached, cached = benchmark.pedantic(
+    hit_rows, crossover_rows, uncached, cached = benchmark.pedantic(
         build, rounds=1, iterations=1
     )
+    hit_pairs = list(zip(hit_rows[::2], hit_rows[1::2]))
+    hit_points = [_hit_point(*pair) for pair in hit_pairs]
+    auto_rows = crossover_rows[2::3]
+    crossover = [
+        _crossover_point(*link)
+        for link in zip(
+            HOST_LINK_GBPS, crossover_rows[::3], crossover_rows[1::3], auto_rows
+        )
+    ]
 
     hit_table = Table(
         "Prefix caching off vs on: agentic fan-out traffic at equal KV "
@@ -52,10 +92,11 @@ def test_kv_hierarchy(benchmark):
     )
     for p in hit_points:
         hit_table.add_row([
-            f"{p.share_prob:.1f}", f"{p.hit_rate:.0%}",
-            f"{p.goodput_uncached:.0%} -> {p.goodput_cached:.0%}",
-            f"{p.ttft_p50_uncached_s:.2f} -> {p.ttft_p50_cached_s:.2f} s",
-            f"{p.tokens_per_s_uncached:,.0f} -> {p.tokens_per_s_cached:,.0f}",
+            f"{p['share_prob']:.1f}", f"{p['hit_rate']:.0%}",
+            f"{p['goodput_uncached']:.0%} -> {p['goodput_cached']:.0%}",
+            f"{p['ttft_p50_uncached_s']:.2f} -> {p['ttft_p50_cached_s']:.2f} s",
+            f"{p['tokens_per_s_uncached']:,.0f} -> "
+            f"{p['tokens_per_s_cached']:,.0f}",
         ])
 
     swap_table = Table(
@@ -66,10 +107,10 @@ def test_kv_hierarchy(benchmark):
     )
     for p in crossover:
         swap_table.add_row([
-            f"{p.host_link_gbps:g} Gb/s", f"{p.swap_s:.2f} s",
-            f"{p.recompute_s:.2f} s", f"{p.auto_swap_fraction:.0%}",
-            f"{p.e2e_p95_recompute_s:.2f} / {p.e2e_p95_swap_s:.2f} / "
-            f"{p.e2e_p95_auto_s:.2f} s",
+            f"{p['host_link_gbps']:g} Gb/s", f"{p['swap_s']:.2f} s",
+            f"{p['recompute_s']:.2f} s", f"{p['auto_swap_fraction']:.0%}",
+            f"{p['e2e_p95_recompute_s']:.2f} / {p['e2e_p95_swap_s']:.2f} / "
+            f"{p['e2e_p95_auto_s']:.2f} s",
         ])
 
     scenario_table = Table(
@@ -87,15 +128,17 @@ def test_kv_hierarchy(benchmark):
 
     # -- acceptance: caching converts sharing into hit rate, TTFT and
     # goodput at equal KV budget --------------------------------------
-    by_share = {p.share_prob: p for p in hit_points}
+    by_share = {p["share_prob"]: p for p in hit_points}
     # simlint found the old exact `== 0.0` here; a hit rate is an
     # accumulated ratio, so assert "no hits" robustly instead.
-    assert math.isclose(by_share[0.0].hit_rate, 0.0, abs_tol=1e-12)
-    assert by_share[0.9].hit_rate > 0.3
-    assert by_share[0.9].ttft_p50_cached_s < by_share[0.9].ttft_p50_uncached_s
-    for p in hit_points:
-        assert p.completed_cached == p.completed_uncached
-        assert p.goodput_cached >= p.goodput_uncached
+    assert math.isclose(by_share[0.0]["hit_rate"], 0.0, abs_tol=1e-12)
+    assert by_share[0.9]["hit_rate"] > 0.3
+    assert (
+        by_share[0.9]["ttft_p50_cached_s"] < by_share[0.9]["ttft_p50_uncached_s"]
+    )
+    for (_, off), (_, on) in hit_pairs:
+        assert len(on.completed) == len(off.completed)
+        assert on.goodput >= off.goodput
     # The pressured agentic_fanout scenario: measurably higher goodput
     # AND lower TTFT with caching on.
     assert cached.goodput > uncached.goodput + 0.02
@@ -104,16 +147,17 @@ def test_kv_hierarchy(benchmark):
 
     # -- acceptance: the swap-vs-recompute crossover exists and AUTO
     # tracks the cheaper branch on both sides --------------------------
-    assert any(p.swap_wins for p in crossover)
-    assert any(not p.swap_wins for p in crossover)
-    for p in crossover:
-        assert p.preemptions > 0
-        if p.swap_wins:
-            assert p.auto_swap_fraction > 0.5
+    swap_wins = [p["swap_s"] < p["recompute_s"] for p in crossover]
+    assert any(swap_wins)
+    assert any(not wins for wins in swap_wins)
+    for p, wins, (_, auto) in zip(crossover, swap_wins, auto_rows):
+        assert auto.total_preemptions > 0
+        if wins:
+            assert p["auto_swap_fraction"] > 0.5
         else:
-            assert p.auto_swap_fraction < 0.5
+            assert p["auto_swap_fraction"] < 0.5
             # AUTO must not pay the slow-link swap penalty.
-            assert p.e2e_p95_auto_s <= p.e2e_p95_swap_s + 1e-9
+            assert p["e2e_p95_auto_s"] <= p["e2e_p95_swap_s"] + 1e-9
 
     write_bench_json(
         JSON_PATH,
@@ -121,35 +165,12 @@ def test_kv_hierarchy(benchmark):
         config={
             "model": LLAMA3_70B.name,
             "share_probs": [0.0, 0.5, 0.9],
-            "host_link_gbps": [100.0, 25.0, 6.0, 1.5],
+            "host_link_gbps": list(HOST_LINK_GBPS),
             "kv_budget_bytes": 2e9,
         },
         metrics={
-            "prefix_hit_sweep": [
-                {
-                    "share_prob": p.share_prob,
-                    "hit_rate": p.hit_rate,
-                    "goodput_uncached": p.goodput_uncached,
-                    "goodput_cached": p.goodput_cached,
-                    "ttft_p50_uncached_s": p.ttft_p50_uncached_s,
-                    "ttft_p50_cached_s": p.ttft_p50_cached_s,
-                    "tokens_per_s_uncached": p.tokens_per_s_uncached,
-                    "tokens_per_s_cached": p.tokens_per_s_cached,
-                }
-                for p in hit_points
-            ],
-            "swap_crossover": [
-                {
-                    "host_link_gbps": p.host_link_gbps,
-                    "swap_s": p.swap_s,
-                    "recompute_s": p.recompute_s,
-                    "auto_swap_fraction": p.auto_swap_fraction,
-                    "e2e_p95_recompute_s": p.e2e_p95_recompute_s,
-                    "e2e_p95_swap_s": p.e2e_p95_swap_s,
-                    "e2e_p95_auto_s": p.e2e_p95_auto_s,
-                }
-                for p in crossover
-            ],
+            "prefix_hit_sweep": hit_points,
+            "swap_crossover": crossover,
             # Full reports via ClusterReport.to_json() instead of
             # hand-rolled metric dicts.
             "agentic_fanout": {

@@ -25,7 +25,7 @@ JSON_PATH = Path(__file__).resolve().parent / "BENCH_prefill_queue.json"
 
 
 def build():
-    points = prefill_policy_sweep(
+    rows = prefill_policy_sweep(
         LLAMA3_70B, rates_rps=(2.0, 6.0, 10.0), duration_s=15.0
     )
     # The acceptance scenario: the agentic_fanout preset on a
@@ -40,13 +40,42 @@ def build():
         LLAMA3_70B, **scenario_kwargs, late_binding=False
     ).run(requests)
     late = late_scenario.run(requests)
-    return points, requests, arrival, late
+    return rows, requests, arrival, late
+
+
+def _policy_points(rows):
+    """One dict per late-bound (rate, policy) row, as emitted, next to
+    the arrival-bound baseline that opens each rate's block."""
+    points = []
+    for point, report in rows:
+        if not point.late_binding:
+            baseline = report
+            founders = prefix_founders(point.requests())
+            continue
+        points.append({
+            "rate_rps": point.traffic.rate_rps,
+            "policy": point.prefill_policy.value,
+            "hit_rate": report.prefix_hit_rate,
+            "hit_rate_arrival": baseline.prefix_hit_rate,
+            "late_hit_tokens": report.late_hit_tokens,
+            "goodput": report.goodput,
+            "ttft_p50_s": report.ttft_percentile(50),
+            "ttft_p50_arrival_s": baseline.ttft_percentile(50),
+            "sibling_ttft_mean_s": sibling_ttft_mean(report.completed, founders),
+            "sibling_ttft_mean_arrival_s": sibling_ttft_mean(
+                baseline.completed, founders
+            ),
+            "queue_mean_depth": report.prefill_queue.mean_depth,
+            "queue_peak_depth": report.prefill_queue.peak_depth,
+        })
+    return points
 
 
 def test_prefill_queue(benchmark):
-    points, requests, arrival, late = benchmark.pedantic(
+    rows, requests, arrival, late = benchmark.pedantic(
         build, rounds=1, iterations=1
     )
+    points = _policy_points(rows)
 
     policy_table = Table(
         "Prefill service queue: late-bound hits vs the arrival-bound "
@@ -57,12 +86,12 @@ def test_prefill_queue(benchmark):
     )
     for p in points:
         policy_table.add_row([
-            f"{p.rate_rps:g} rps", p.policy.value,
-            f"{p.hit_rate_arrival:.0%} -> {p.hit_rate:.0%}",
-            f"{p.late_hit_tokens:,}",
-            f"{p.sibling_ttft_mean_arrival_s:.2f} -> "
-            f"{p.sibling_ttft_mean_s:.2f} s",
-            f"{p.queue_mean_depth:.1f} / {p.queue_peak_depth}",
+            f"{p['rate_rps']:g} rps", p["policy"],
+            f"{p['hit_rate_arrival']:.0%} -> {p['hit_rate']:.0%}",
+            f"{p['late_hit_tokens']:,}",
+            f"{p['sibling_ttft_mean_arrival_s']:.2f} -> "
+            f"{p['sibling_ttft_mean_s']:.2f} s",
+            f"{p['queue_mean_depth']:.1f} / {p['queue_peak_depth']}",
         ])
 
     founders = prefix_founders(requests)
@@ -83,31 +112,34 @@ def test_prefill_queue(benchmark):
     emit(policy_table, scenario_table)
 
     # -- acceptance: late binding recovers hits under saturation -------
-    saturated = [p for p in points if p.rate_rps == max(
-        q.rate_rps for q in points
-    )]
+    top_rate = max(point.traffic.rate_rps for point, _ in rows)
+    assert all(
+        len(report.completed) > 0
+        for point, report in rows
+        if point.late_binding and point.traffic.rate_rps == top_rate
+    )
+    saturated = [p for p in points if p["rate_rps"] == top_rate]
     for p in saturated:
-        assert p.completed > 0
-        assert p.hit_rate > p.hit_rate_arrival          # strictly higher
-        assert p.late_hit_tokens > 0                    # recovered, not luck
-        assert p.sibling_ttft_mean_s < p.sibling_ttft_mean_arrival_s
+        assert p["hit_rate"] > p["hit_rate_arrival"]    # strictly higher
+        assert p["late_hit_tokens"] > 0                 # recovered, not luck
+        assert p["sibling_ttft_mean_s"] < p["sibling_ttft_mean_arrival_s"]
     # At low load the queue is empty, so both bindings see the cache in
     # the same state -- the win comes from saturation, not a constant
     # offset.
-    unsaturated = [p for p in points if p.rate_rps == min(
-        q.rate_rps for q in points
+    unsaturated = [p for p in points if p["rate_rps"] == min(
+        q["rate_rps"] for q in points
     )]
     assert all(
-        p.hit_rate - p.hit_rate_arrival
-        < min(q.hit_rate - q.hit_rate_arrival for q in saturated)
+        p["hit_rate"] - p["hit_rate_arrival"]
+        < min(q["hit_rate"] - q["hit_rate_arrival"] for q in saturated)
         for p in unsaturated
     )
     # PREFIX_AFFINE defers siblings into hits: it must recover at least
     # as many hit tokens as plain late-bound FIFO at saturation.
-    by_policy = {p.policy: p for p in saturated}
+    by_policy = {p["policy"]: p for p in saturated}
     assert (
-        by_policy[PrefillPolicy.PREFIX_AFFINE].hit_rate
-        >= by_policy[PrefillPolicy.FIFO].hit_rate
+        by_policy[PrefillPolicy.PREFIX_AFFINE.value]["hit_rate"]
+        >= by_policy[PrefillPolicy.FIFO.value]["hit_rate"]
     )
 
     # -- acceptance: the agentic_fanout preset itself (equal KV budget,
@@ -130,24 +162,7 @@ def test_prefill_queue(benchmark):
             "kv_budget_bytes": 2e9,
         },
         metrics={
-            "policy_sweep": [
-                {
-                    "rate_rps": p.rate_rps,
-                    "policy": p.policy.value,
-                    "hit_rate": p.hit_rate,
-                    "hit_rate_arrival": p.hit_rate_arrival,
-                    "late_hit_tokens": p.late_hit_tokens,
-                    "goodput": p.goodput,
-                    "ttft_p50_s": p.ttft_p50_s,
-                    "ttft_p50_arrival_s": p.ttft_p50_arrival_s,
-                    "sibling_ttft_mean_s": p.sibling_ttft_mean_s,
-                    "sibling_ttft_mean_arrival_s":
-                        p.sibling_ttft_mean_arrival_s,
-                    "queue_mean_depth": p.queue_mean_depth,
-                    "queue_peak_depth": p.queue_peak_depth,
-                }
-                for p in points
-            ],
+            "policy_sweep": points,
             # Full reports via ClusterReport.to_json(); only the
             # founder-relative sibling TTFT needs computing out-of-band.
             "agentic_fanout": {

@@ -21,12 +21,12 @@ from pathlib import Path
 from conftest import emit
 
 from _emit import write_bench_json
-from repro.analysis.cluster_sweep import specdec_acceptance_sweep
-from repro.api import scenario
+from repro.analysis.cluster_sweep import sweep
+from repro.api import Scenario, TrafficSpec, scenario
 from repro.models.llama3 import LLAMA3_70B
 from repro.serving.cluster import ClusterReport, simulate
 from repro.serving.engine import report_digest
-from repro.specdec import SpecDecConfig
+from repro.specdec import SpecDecConfig, SpeculativeConfig
 from repro.util.tables import Table
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_specdec_fleet.json"
@@ -38,6 +38,8 @@ ENGINE_TESTS = (
 #: The acceptance bar: goodput-weighted effective decode throughput
 #: with specdec on over off, same arrivals, equal KV budget.
 MIN_SPEEDUP = 1.5
+#: Tokens accepted per lookahead-8 window in the acceptance sweep.
+ACCEPTED = (2.0, 3.0, 4.6, 6.0)
 
 
 def _effective_decode_rate(report: ClusterReport) -> float:
@@ -48,6 +50,40 @@ def _effective_decode_rate(report: ClusterReport) -> float:
     if busy <= 0.0:
         return 0.0
     return report.goodput * report.decode_tokens / busy
+
+
+def _acceptance_sweep():
+    """The no-specdec baseline, then lookahead-8 speculation (colocated
+    draft, draft-KV headroom charged) at each acceptance rate, on
+    identical 2 RPS reasoning traffic."""
+    base = Scenario(
+        model=LLAMA3_70B,
+        traffic=TrafficSpec(rate_rps=2.0, duration_s=15.0, decode_mean=4096),
+    )
+    windows = [
+        SpeculativeConfig(lookahead=8, accepted_per_window=accepted)
+        for accepted in ACCEPTED
+    ]
+    return sweep(
+        base,
+        [{"specdec": None}]
+        + [{"specdec": SpecDecConfig(speculation=w)} for w in windows],
+    )
+
+
+def _acceptance_point(point, report, base_rate):
+    """One acceptance-sweep row, as emitted (0 accepted / lookahead 0
+    marks the baseline)."""
+    window = point.specdec.speculation if point.specdec else None
+    rate = _effective_decode_rate(report)
+    return {
+        "accepted_per_window": window.accepted_per_window if window else 0.0,
+        "lookahead": window.lookahead if window else 0,
+        "effective_decode_tokens_per_s": rate,
+        "speedup": rate / base_rate,
+        "energy_per_token_j": report.energy_per_token_j,
+        "completed": len(report.completed),
+    }
 
 
 def _load_engine_pins():
@@ -65,9 +101,9 @@ def build():
     on = scenario(
         "reasoning_prod", LLAMA3_70B, specdec=SpecDecConfig()
     ).run(requests)
-    sweep = specdec_acceptance_sweep(
-        LLAMA3_70B, accepted=(2.0, 3.0, 4.6, 6.0), duration_s=15.0
-    )
+    rows = _acceptance_sweep()
+    base_rate = _effective_decode_rate(rows[0][1])
+    acceptance = [_acceptance_point(*row, base_rate) for row in rows]
     # Defaults-off neutrality: recompute every specdec-off pin.
     pins = _load_engine_pins()
     digests = {}
@@ -76,11 +112,11 @@ def build():
         if config.specdec is not None:
             continue
         digests[name] = report_digest(simulate(config, pin_requests))
-    return off, on, sweep, pins.DIGESTS, digests
+    return off, on, acceptance, pins.DIGESTS, digests
 
 
 def test_specdec_fleet(benchmark):
-    off, on, sweep, pinned, recomputed = benchmark.pedantic(
+    off, on, acceptance, pinned, recomputed = benchmark.pedantic(
         build, rounds=1, iterations=1
     )
     off_rate = _effective_decode_rate(off)
@@ -106,13 +142,15 @@ def test_specdec_fleet(benchmark):
         "reasoning traffic)",
         ["accepted/window", "eff decode tok/s", "speedup", "J/token"],
     )
-    for p in sweep:
-        label = "off" if p.lookahead == 0 else f"{p.accepted_per_window:.1f}"
+    for p in acceptance:
+        label = (
+            "off" if p["lookahead"] == 0 else f"{p['accepted_per_window']:.1f}"
+        )
         sweep_table.add_row([
             label,
-            f"{p.effective_decode_tokens_per_s:,.0f}",
-            f"{p.speedup:.2f}x",
-            f"{p.energy_per_token_j:.2f}",
+            f"{p['effective_decode_tokens_per_s']:,.0f}",
+            f"{p['speedup']:.2f}x",
+            f"{p['energy_per_token_j']:.2f}",
         ])
     emit(preset_table, sweep_table)
 
@@ -125,10 +163,10 @@ def test_specdec_fleet(benchmark):
     )
     # The sweep brackets the operating point: negligible lift at low
     # acceptance, monotone-increasing effective rate above it.
-    rates = [p.effective_decode_tokens_per_s for p in sweep]
+    rates = [p["effective_decode_tokens_per_s"] for p in acceptance]
     assert rates[-1] > rates[1]
-    by_accept = {p.accepted_per_window: p for p in sweep}
-    assert by_accept[6.0].speedup > by_accept[2.0].speedup
+    by_accept = {p["accepted_per_window"]: p for p in acceptance}
+    assert by_accept[6.0]["speedup"] > by_accept[2.0]["speedup"]
 
     # -- acceptance: specdec off is bit-identical to the pinned baseline
     for name, digest in recomputed.items():
@@ -145,7 +183,7 @@ def test_specdec_fleet(benchmark):
             "preset": "reasoning_prod",
             "lookahead": 8,
             "accepted_per_window": 4.6,
-            "sweep_accepted": [2.0, 3.0, 4.6, 6.0],
+            "sweep_accepted": list(ACCEPTED),
             "min_speedup": MIN_SPEEDUP,
         },
         metrics={
@@ -154,19 +192,7 @@ def test_specdec_fleet(benchmark):
                 "on": on_rate,
                 "speedup": speedup,
             },
-            "acceptance_sweep": [
-                {
-                    "accepted_per_window": p.accepted_per_window,
-                    "lookahead": p.lookahead,
-                    "effective_decode_tokens_per_s": (
-                        p.effective_decode_tokens_per_s
-                    ),
-                    "speedup": p.speedup,
-                    "energy_per_token_j": p.energy_per_token_j,
-                    "completed": p.completed,
-                }
-                for p in sweep
-            ],
+            "acceptance_sweep": acceptance,
             "defaults_off_pins_checked": len(recomputed),
             "reasoning_prod": {
                 "off": off.to_json(),

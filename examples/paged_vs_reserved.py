@@ -45,12 +45,13 @@ def main() -> None:
         print()
 
     print("Sweep across KV budgets (same traffic):")
-    for p in reservation_sweep(LLAMA3_70B, kv_budgets_gb=(3.0, 4.0, 6.0)):
+    for point, r in reservation_sweep(LLAMA3_70B, kv_budgets_gb=(3.0, 4.0, 6.0)):
         print(
-            f"  {p.kv_budget_gb:4.0f} GB {p.reservation.value:5s}  "
-            f"goodput {p.goodput:5.0%}  {p.tokens_per_s:6,.0f} tok/s  "
-            f"occupancy {p.mean_decode_kv_occupancy:4.0%}  "
-            f"preemptions {p.preemptions}"
+            f"  {point.kv_budget_bytes / 1e9:4.0f} GB "
+            f"{point.reservation.value:5s}  "
+            f"goodput {r.goodput:5.0%}  {r.tokens_per_s:6,.0f} tok/s  "
+            f"occupancy {r.mean_decode_kv_occupancy:4.0%}  "
+            f"preemptions {r.total_preemptions}"
         )
 
 

@@ -16,8 +16,9 @@ Run:  python examples/prefix_caching.py
 """
 
 from repro.api import PodGroup, agentic_fanout
-from repro.analysis.cluster_sweep import swap_crossover_sweep
+from repro.analysis.cluster_sweep import swap_costs, swap_crossover_sweep
 from repro.models import LLAMA3_70B
+from repro.serving import SwapPolicy
 
 KV_BUDGET_GB = 2.0
 
@@ -48,15 +49,18 @@ def main() -> None:
         print()
 
     print("Swap-vs-recompute crossover (tight pool, host link sweep):")
-    for p in swap_crossover_sweep(
-        LLAMA3_70B, host_link_gbps=(100.0, 25.0, 6.0, 1.5)
-    ):
-        winner = "swap" if p.swap_wins else "recompute"
+    rows = swap_crossover_sweep(LLAMA3_70B, host_link_gbps=(100.0, 25.0, 6.0, 1.5))
+    for point, auto in rows:
+        if point.swap_policy is not SwapPolicy.AUTO:
+            continue
+        swap_s, recompute_s = swap_costs(point)
+        winner = "swap" if swap_s < recompute_s else "recompute"
+        swapped = auto.total_swaps / max(auto.total_preemptions, 1)
         print(
-            f"  {p.host_link_gbps:6g} Gb/s host link: swap {p.swap_s:5.2f} s "
-            f"vs recompute {p.recompute_s:5.2f} s -> {winner:9s}  "
-            f"(AUTO swapped {p.auto_swap_fraction:4.0%} of "
-            f"{p.preemptions} preemptions)"
+            f"  {point.swap_bytes_per_s * 8 / 1e9:6g} Gb/s host link: "
+            f"swap {swap_s:5.2f} s vs recompute {recompute_s:5.2f} s -> "
+            f"{winner:9s}  (AUTO swapped {swapped:4.0%} of "
+            f"{auto.total_preemptions} preemptions)"
         )
 
 

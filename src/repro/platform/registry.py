@@ -14,15 +14,13 @@ optional ``sizing`` workload used to pick memory SKUs / ISO-TDP scale:
 :func:`register_platform` adds new SKUs at runtime; nothing else in the
 serving stack needs to change for a new hardware family.
 
-:func:`as_platform` coerces the values older call sites pass (raw
-``RpuSystem`` / ``GpuSystem`` engines) into platforms; with
-``warn=True`` it emits a :class:`DeprecationWarning` for raw systems --
-the shim that keeps pre-platform configs working.
+:func:`as_platform` coerces raw ``RpuSystem`` / ``GpuSystem`` engines
+into platforms for the single-query serving model; fleet configs
+(:class:`~repro.serving.cluster.ClusterConfig`) take platforms only.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 
 from repro.analysis.perf_model import iso_tdp_system, system_for
@@ -69,31 +67,23 @@ def build_platform(
     return builder(sizing=sizing, **options)
 
 
-def as_platform(engine: object, *, warn: bool = False) -> Platform:
+def as_platform(engine: object) -> Platform:
     """Coerce ``engine`` to a :class:`Platform`.
 
     Accepts platforms (returned unchanged) and raw ``RpuSystem`` /
-    ``GpuSystem`` engines (wrapped; deprecated when ``warn=True`` --
-    pass ``RpuPlatform(system)`` / ``GpuPlatform(system)`` instead).
+    ``GpuSystem`` engines (wrapped), as the single-query
+    :class:`~repro.serving.disaggregated.DisaggregatedSystem` accepts;
+    fleet configs take platforms only.
     """
     if isinstance(engine, Platform):
         return engine
     if isinstance(engine, RpuSystem):
-        wrapped: Platform = RpuPlatform(engine)
-    elif isinstance(engine, GpuSystem):
-        wrapped = GpuPlatform(engine)
-    else:
-        raise TypeError(
-            f"expected a Platform, RpuSystem or GpuSystem, got {type(engine).__name__}"
-        )
-    if warn:
-        warnings.warn(
-            f"passing a raw {type(engine).__name__} into the serving fleet is "
-            f"deprecated; wrap it as {type(wrapped).__name__}(system)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return wrapped
+        return RpuPlatform(engine)
+    if isinstance(engine, GpuSystem):
+        return GpuPlatform(engine)
+    raise TypeError(
+        f"expected a Platform, RpuSystem or GpuSystem, got {type(engine).__name__}"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -56,8 +56,8 @@ Every pod consumes the hardware-agnostic
 *any* role: the paper's GPU-prefill/RPU-decode deployment, an all-GPU
 baseline, an inverted RPU-prefill fleet, or a mixed decode pool of
 RPU/H100/H200 pods -- fleet topology is configuration, not code.  Raw
-``RpuSystem``/``GpuSystem`` engines are still accepted (coerced with a
-:class:`DeprecationWarning`).
+``RpuSystem``/``GpuSystem`` engines are rejected: wrap them as
+``RpuPlatform(system)``/``GpuPlatform(system)``.
 
 The simulation is a classic discrete-event loop: request arrivals,
 prefill completions, KV arrivals and per-token decode steps interleave
@@ -95,7 +95,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.analysis.perf_model import system_for
-from repro.arch.system import RpuSystem
 from repro.gpu.system import GpuSystem
 from repro.models.config import ModelConfig
 from repro.models.dtypes import DType
@@ -114,7 +113,7 @@ from repro.obs import (
     TraceRecorder,
     TraceRecording,
 )
-from repro.platform import GpuPlatform, Platform, RpuPlatform, StepCost, as_platform
+from repro.platform import GpuPlatform, Platform, RpuPlatform, StepCost
 from repro.serving.contracts import mutates, pure_probe
 from repro.serving.disaggregated import INTERACTION_THRESHOLD_S
 from repro.serving.engine import EventCalendar, run_loop
@@ -409,22 +408,14 @@ class DecodePod:
         return self.scheduler.owed_tokens + self.in_transfer_tokens
 
 
-def decode_pod_kv_budget(
-    engine: Platform | RpuSystem | GpuSystem, model: ModelConfig, weight_dtype: DType
-) -> float:
-    """Pod memory left for KV after the hosted model's weights."""
-    return as_platform(engine).kv_budget_bytes(model, weight_dtype)
-
-
 # ----------------------------------------------------------------------
 # Cluster configuration
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DecodePodSpec:
-    """Platform + hosted model for one decode pod (raw
-    ``RpuSystem``/``GpuSystem`` engines are accepted but deprecated)."""
+    """Platform + hosted model for one decode pod."""
 
-    engine: Platform | RpuSystem | GpuSystem
+    engine: Platform
     model: ModelConfig
 
 
@@ -432,7 +423,7 @@ class DecodePodSpec:
 class ClusterConfig:
     """A serving fleet: prefill pods, decode pods, policies."""
 
-    prefill_engines: tuple[Platform | GpuSystem | RpuSystem, ...]
+    prefill_engines: tuple[Platform, ...]
     decode_pods: tuple[DecodePodSpec, ...]
     policy: Policy = Policy.FIFO
     #: Order the shared prefill service queue is drained in (decode
@@ -535,6 +526,19 @@ class ClusterConfig:
             raise ValueError("cluster needs at least one prefill pod")
         if not self.decode_pods:
             raise ValueError("cluster needs at least one decode pod")
+        engines = [
+            (f"prefill_engines[{i}]", engine)
+            for i, engine in enumerate(self.prefill_engines)
+        ] + [
+            (f"decode_pods[{i}].engine", spec.engine)
+            for i, spec in enumerate(self.decode_pods)
+        ]
+        for label, engine in engines:
+            if not isinstance(engine, Platform):
+                raise TypeError(
+                    f"{label} must be a Platform, got {type(engine).__name__}; "
+                    "wrap raw systems as RpuPlatform(system) / GpuPlatform(system)"
+                )
         if self.kv_budget_bytes is not None and self.kv_budget_bytes <= 0:
             raise ValueError("kv_budget_bytes override must be positive")
         if self.slo_s <= 0:
@@ -1446,8 +1450,7 @@ class ClusterSim:
         """Fresh pod state; called per run so a sim instance is reusable."""
         config = self.config
         self.prefill_pods = []
-        for i, engine in enumerate(config.prefill_engines):
-            platform = as_platform(engine, warn=True)
+        for i, platform in enumerate(config.prefill_engines):
             self.prefill_pods.append(
                 PrefillPod(
                     pod_id=f"prefill{i}",
@@ -1468,7 +1471,7 @@ class ClusterSim:
         """One decode pod per the config's serving point (also the
         autoscaler's factory when it grows the pool past the roster)."""
         config = self.config
-        platform = as_platform(spec.engine, warn=True)
+        platform = spec.engine
         budget = config.kv_budget_bytes or platform.kv_budget_bytes(
             spec.model, config.weight_dtype
         )

@@ -1,12 +1,10 @@
-"""Scenario runner: ISO-TDP parity with the pre-platform API, hybrid
-fleets, presets, and the deprecation shims."""
-
-import warnings
+"""Scenario runner: ISO-TDP parity with hand-built fleets, hybrid
+fleets, presets, and knob threading."""
 
 import pytest
 
-from repro.analysis.cluster_sweep import fleet_layout_comparison, gpu_vs_disaggregated
-from repro.analysis.perf_model import system_for
+from repro.analysis.cluster_sweep import sweep
+from repro.analysis.perf_model import iso_tdp_system
 from repro.api import (
     SCENARIOS,
     PodGroup,
@@ -18,12 +16,14 @@ from repro.api import (
 from repro.gpu.system import GpuSystem
 from repro.models.llama3 import LLAMA3_70B
 from repro.models.workload import Workload
-from repro.platform import GpuPlatform, RpuPlatform, build_platform
+from repro.platform import RpuPlatform, build_platform
 from repro.serving.cluster import (
     ClusterConfig,
     DecodePodSpec,
+    gpu_only_cluster,
     simulate,
 )
+from repro.serving.engine import report_digest
 from repro.serving.requests import RequestGenerator, reasoning_traffic
 from repro.serving.scheduler import Reservation
 
@@ -39,29 +39,47 @@ def reasoning_spec(rate_rps=1.0, duration_s=20.0, seed=0):
 
 
 class TestIsoTdpParity:
-    """Scenario.run() must reproduce the pre-refactor
-    gpu_vs_disaggregated numbers -- the new API pinned to the old."""
+    """Scenario.run() must reproduce the hand-built ISO-TDP fleets of
+    the pre-platform API -- the declarative path pinned to the old."""
 
     @pytest.fixture(scope="class")
-    def versus(self):
-        return gpu_vs_disaggregated(LLAMA3_70B, rate_rps=1.0, duration_s=20.0)
+    def reference(self):
+        """(GPU-only, disaggregated) reports from hand-built configs:
+        colocated 2xH100 decode pods, and RPU decode pods sized to
+        their TDP, behind identical prefill pods."""
+        requests = reasoning_spec().requests(LLAMA3_70B)
+        sizing = Workload(LLAMA3_70B, batch_size=32, seq_len=8192)
+        rpu_pod = iso_tdp_system(GpuSystem(count=2), sizing)
+        gpu_config = gpu_only_cluster(
+            LLAMA3_70B, num_prefill_pods=2, num_decode_pods=2, gpus_per_decode=2
+        )
+        disagg_config = ClusterConfig(
+            prefill_engines=gpu_config.prefill_engines,
+            decode_pods=tuple(
+                DecodePodSpec(RpuPlatform(rpu_pod), LLAMA3_70B) for _ in range(2)
+            ),
+        )
+        return simulate(gpu_config, requests), simulate(disagg_config, requests)
 
-    def test_disaggregated_fleet_matches(self, versus):
+    def test_disaggregated_fleet_matches(self, reference):
+        _, disaggregated = reference
         report = Scenario(
             model=LLAMA3_70B,
             traffic=reasoning_spec(),
             prefill=(PodGroup("gpu", count=2),),
             decode=(PodGroup("rpu_iso_tdp", count=2, options={"gpus": 2}),),
         ).run()
-        assert report.goodput == pytest.approx(versus.disaggregated.goodput)
+        assert report.goodput == pytest.approx(disaggregated.goodput)
         assert report.tokens_per_s == pytest.approx(
-            versus.disaggregated.tokens_per_s, rel=1e-9
+            disaggregated.tokens_per_s, rel=1e-9
         )
         assert report.total_energy_j == pytest.approx(
-            versus.disaggregated.total_energy_j, rel=1e-9
+            disaggregated.total_energy_j, rel=1e-9
         )
+        assert report_digest(report) == report_digest(disaggregated)
 
-    def test_gpu_only_fleet_matches(self, versus):
+    def test_gpu_only_fleet_matches(self, reference):
+        gpu_only, _ = reference
         report = Scenario(
             model=LLAMA3_70B,
             traffic=reasoning_spec(),
@@ -69,36 +87,11 @@ class TestIsoTdpParity:
             decode=(PodGroup("gpu", count=2),),
             colocated=True,
         ).run()
-        assert report.goodput == pytest.approx(versus.gpu_only.goodput)
+        assert report.goodput == pytest.approx(gpu_only.goodput)
         assert report.tokens_per_s == pytest.approx(
-            versus.gpu_only.tokens_per_s, rel=1e-9
+            gpu_only.tokens_per_s, rel=1e-9
         )
-
-    def test_raw_system_config_matches_platform_config(self):
-        """The deprecation shim (raw engines) and the platform path
-        must produce identical reports."""
-        sizing = Workload(LLAMA3_70B, batch_size=32, seq_len=8192)
-        rpu = system_for(128, sizing)
-        requests = reasoning_spec(duration_s=10.0).requests(LLAMA3_70B)
-        old_style = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2), GpuSystem(count=2)),
-            decode_pods=(DecodePodSpec(rpu, LLAMA3_70B),) * 2,
-        )
-        new_style = ClusterConfig(
-            prefill_engines=(GpuPlatform(GpuSystem(count=2)),) * 2,
-            decode_pods=(DecodePodSpec(RpuPlatform(rpu), LLAMA3_70B),) * 2,
-        )
-        with pytest.warns(DeprecationWarning):
-            old = simulate(old_style, requests)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            new = simulate(new_style, requests)
-        assert old.duration_s == new.duration_s
-        assert old.goodput == new.goodput
-        assert old.total_energy_j == pytest.approx(new.total_energy_j)
-        assert [r.completed_s for r in old.completed] == [
-            r.completed_s for r in new.completed
-        ]
+        assert report_digest(report) == report_digest(gpu_only)
 
 
 class TestHybridFleets:
@@ -151,23 +144,26 @@ class TestHybridFleets:
         assert all(p.busy_s > 0 for p in decode)
 
     def test_fleet_layout_comparison_sweep(self):
-        """The analysis-layer sweep expresses the same mixed pools."""
+        """A sweep over decode-pool layouts: identical traffic, identical
+        prefill pods, homogeneous and mixed pools side by side."""
         sizing = Workload(LLAMA3_70B, batch_size=32, seq_len=8192)
+        rpu = build_platform("rpu", sizing=sizing)
         layouts = {
-            "rpu-only": (build_platform("rpu", sizing=sizing),) * 2,
-            "mixed": (
-                build_platform("rpu", sizing=sizing),
-                build_platform("h100"),
-            ),
+            "rpu-only": (PodGroup(rpu, count=2),),
+            "mixed": (PodGroup(rpu), PodGroup(build_platform("h100"))),
         }
-        reports = fleet_layout_comparison(
-            LLAMA3_70B, layouts, rate_rps=0.5, duration_s=8.0
+        rows = sweep(
+            Scenario(model=LLAMA3_70B, traffic=reasoning_spec(rate_rps=0.5, duration_s=8.0)),
+            [{"decode": pods} for pods in layouts.values()],
         )
-        assert set(reports) == {"rpu-only", "mixed"}
-        for report in reports.values():
-            assert report.num_submitted == len(
-                reports["rpu-only"].completed
-            ) + len(reports["rpu-only"].rejected)
+        assert [point.decode for point, _ in rows] == list(layouts.values())
+        (_, rpu_only), (_, mixed) = rows
+        for report in (rpu_only, mixed):
+            assert report.num_submitted == len(rpu_only.completed) + len(
+                rpu_only.rejected
+            )
+        decode = [p.platform for p in mixed.pod_stats if p.kind == "decode"]
+        assert decode == ["rpu-128cu", "2xH100-SXM"]
 
 
 class TestPresets:

@@ -142,12 +142,6 @@ class TestCoercion:
         assert isinstance(as_platform(system_for(8, workload)), RpuPlatform)
         assert isinstance(as_platform(GpuSystem(count=1)), GpuPlatform)
 
-    def test_raw_system_warns_when_asked(self, workload):
-        with pytest.warns(DeprecationWarning, match="RpuPlatform"):
-            as_platform(system_for(8, workload), warn=True)
-        with pytest.warns(DeprecationWarning, match="GpuPlatform"):
-            as_platform(GpuSystem(count=1), warn=True)
-
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             as_platform(object())

@@ -9,6 +9,7 @@ from repro.analysis.perf_model import system_for
 from repro.gpu.system import GpuSystem
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.models.workload import Workload
+from repro.platform import GpuPlatform, RpuPlatform
 from repro.serving.cluster import (
     ClusterConfig,
     ClusterSim,
@@ -33,8 +34,8 @@ from repro.serving.scheduler import ContinuousBatchScheduler, Policy, Reservatio
 def single_pod_config(model, *, num_cus=128, decode_len=2048, seq_len=8192):
     sizing = Workload(model, batch_size=1, seq_len=seq_len, decode_len=decode_len)
     return ClusterConfig(
-        prefill_engines=(GpuSystem(count=2),),
-        decode_pods=(DecodePodSpec(system_for(num_cus, sizing), model),),
+        prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
+        decode_pods=(DecodePodSpec(RpuPlatform(system_for(num_cus, sizing)), model),),
     )
 
 
@@ -187,10 +188,10 @@ class TestRoutingAndPolicies:
         sizing_8b = Workload(LLAMA3_8B, batch_size=1, seq_len=8192)
         sizing_70b = Workload(LLAMA3_70B, batch_size=1, seq_len=8192)
         config = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2),),
+            prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
             decode_pods=(
-                DecodePodSpec(system_for(64, sizing_8b), LLAMA3_8B),
-                DecodePodSpec(system_for(128, sizing_70b), LLAMA3_70B),
+                DecodePodSpec(RpuPlatform(system_for(64, sizing_8b)), LLAMA3_8B),
+                DecodePodSpec(RpuPlatform(system_for(128, sizing_70b)), LLAMA3_70B),
             ),
         )
         requests = [
@@ -495,10 +496,10 @@ class TestPrefillDtypeThreading:
         from repro.models.dtypes import DType
 
         config = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2),),
+            prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
             decode_pods=(
                 DecodePodSpec(
-                    system_for(128, Workload(LLAMA3_70B, seq_len=8192)),
+                    RpuPlatform(system_for(128, Workload(LLAMA3_70B, seq_len=8192))),
                     LLAMA3_70B,
                 ),
             ),
@@ -562,6 +563,22 @@ class TestConfigValidation:
                 reservation=Reservation.FULL, prefix_caching=True
             )
 
+    def test_raw_engine_rejected(self):
+        """Fleets take platforms only: a raw RpuSystem/GpuSystem fails
+        at config build, naming the field and the index."""
+        base = self.config()
+        raw_gpu = GpuSystem(count=2)
+        with pytest.raises(TypeError, match=r"prefill_engines\[1\].*GpuSystem"):
+            self.config(prefill_engines=(base.prefill_engines[0], raw_gpu))
+        raw_rpu = base.decode_pods[1].engine.system
+        with pytest.raises(TypeError, match=r"decode_pods\[1\]\.engine.*RpuSystem"):
+            self.config(
+                decode_pods=(
+                    base.decode_pods[0],
+                    DecodePodSpec(raw_rpu, LLAMA3_70B),
+                )
+            )
+
 
 class TestReviewRegressions:
     def test_sim_instance_is_reusable(self, traffic_70b):
@@ -583,10 +600,10 @@ class TestReviewRegressions:
 
         request = Request(0, 0.0, LLAMA3_70B, prompt_len=4096, decode_len=2048)
         config = ClusterConfig(
-            prefill_engines=(GpuSystem(count=2),),
+            prefill_engines=(GpuPlatform(GpuSystem(count=2)),),
             decode_pods=(
                 DecodePodSpec(
-                    system_for(128, Workload(LLAMA3_70B, seq_len=8192)),
+                    RpuPlatform(system_for(128, Workload(LLAMA3_70B, seq_len=8192))),
                     LLAMA3_70B,
                 ),
             ),
