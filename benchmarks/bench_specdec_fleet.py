@@ -27,6 +27,7 @@ from repro.models.llama3 import LLAMA3_70B
 from repro.serving.cluster import ClusterReport, simulate
 from repro.serving.engine import report_digest
 from repro.specdec import SpecDecConfig, SpeculativeConfig
+from repro.util.stats import left_sum
 from repro.util.tables import Table
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_specdec_fleet.json"
@@ -46,7 +47,7 @@ def _effective_decode_rate(report: ClusterReport) -> float:
     """Goodput-weighted decode tokens per decode-pod busy second --
     the rate speculation lifts even when wall-clock throughput is
     arrival-bound."""
-    busy = sum(p.busy_s for p in report.pod_stats if p.kind == "decode")
+    busy = left_sum(p.busy_s for p in report.pod_stats if p.kind == "decode")
     if busy <= 0.0:
         return 0.0
     return report.goodput * report.decode_tokens / busy

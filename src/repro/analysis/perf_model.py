@@ -36,7 +36,9 @@ from repro.gpu.system import GpuSystem
 from repro.memory.sku import sku_for_system
 from repro.models.flops import (
     KernelKind,
+    KernelProfile,
     decode_step_layer_values,
+    derive_per_layer,
     step_arithmetic_intensity,
 )
 from repro.models.workload import Workload
@@ -104,9 +106,6 @@ def decode_step_perf(
             f"{system} cannot hold {workload} "
             f"({workload.memory_footprint_bytes() / 1e9:.1f} GB)"
         )
-    # Value-identical to decode_step_profile, but layers sharing an
-    # attention span reuse one kernel list -- same reduction, far fewer
-    # kernel objects built per evaluated shape.
     num_cores = system.num_cores
     core = system.cu.core
     core_bw = core.mem_bandwidth_bytes_per_s
@@ -117,11 +116,8 @@ def decode_step_perf(
     kv_heads = workload.model.attention.num_kv_heads
     gqa_span = max(1, min(system.num_cus, system.num_cus // kv_heads or 1))
 
-    def derive(kernels: list) -> list[tuple]:
-        """Per-kernel derived quantities for one layer's kernel list.
-        Identical layer lists derive to identical rows, so rows computed
-        once per distinct list feed the accumulation below with the
-        exact float sequence the flat per-kernel loop produced."""
+    def derive(kernels: list[KernelProfile]) -> list[tuple[float, ...]]:
+        """Per-kernel derived quantities for one layer's kernel list."""
         rows = []
         for kernel in kernels:
             mem_k = kernel.hbm_bytes / num_cores / core_bw
@@ -160,9 +156,6 @@ def decode_step_perf(
             ))
         return rows
 
-    layer_lists = decode_step_layer_values(workload)
-    derived: dict[int, list[tuple]] = {}
-
     t_mem = t_comp = t_net = 0.0
     t_coupled = 0.0
     flops_total = 0.0
@@ -171,11 +164,7 @@ def decode_step_perf(
     wkv_bytes_total = 0.0
     act_bytes_total = 0.0
 
-    for kernels in layer_lists:
-        rows = derived.get(id(kernels))
-        if rows is None:
-            rows = derive(kernels)
-            derived[id(kernels)] = rows
+    for rows in derive_per_layer(decode_step_layer_values(workload), derive):
         for mem_k, comp_k, net_k, coupled_k, fl, hbm, coll, wkv, act in rows:
             t_mem += mem_k
             t_comp += comp_k

@@ -23,7 +23,8 @@ from repro.models.flops import (
     KernelKind,
     KernelProfile,
     chunked_prefill_flops,
-    decode_step_values,
+    decode_step_layer_values,
+    derive_per_layer,
 )
 from repro.models.workload import Workload
 
@@ -49,8 +50,9 @@ class GpuStepResult:
 
 def _kernel_time_s(
     system: GpuSystem, workload: Workload, kernel: KernelProfile
-) -> tuple[float, float, float]:
-    """(latency, mem_busy, comp_busy) of one kernel on the system."""
+) -> float:
+    """Latency of one kernel on the system: the slower of its memory
+    and compute time, plus the launch overhead."""
     spec = system.spec
     count = system.count
 
@@ -78,8 +80,7 @@ def _kernel_time_s(
             # fraction of tensor-core rate; they are memory-bound anyway.
             comp_time = flops / (0.1 * spec.peak_bf16_flops)
 
-    latency = max(mem_time, comp_time) + spec.kernel_launch_s
-    return latency, mem_time, comp_time
+    return max(mem_time, comp_time) + spec.kernel_launch_s
 
 
 def decode_step(system: GpuSystem, workload: Workload) -> GpuStepResult:
@@ -90,20 +91,22 @@ def decode_step(system: GpuSystem, workload: Workload) -> GpuStepResult:
             f"{system.name} ({system.mem_capacity_bytes / 1e9:.0f} GB) cannot "
             f"hold {workload} ({workload.memory_footprint_bytes() / 1e9:.0f} GB)"
         )
-    kernels = decode_step_values(workload)  # value-identical, cheaper to build
+
+    def derive(kernels: list[KernelProfile]) -> list[tuple[float, float, float]]:
+        return [
+            (_kernel_time_s(system, workload, kernel), kernel.hbm_bytes, kernel.flops)
+            for kernel in kernels
+        ]
+
     total_time = 0.0
-    mem_busy = 0.0
-    comp_busy = 0.0
     hbm_bytes_total = 0.0
     flops_total = 0.0
 
-    for kernel in kernels:
-        latency, mem_time, comp_time = _kernel_time_s(system, workload, kernel)
-        total_time += latency
-        mem_busy += mem_time
-        comp_busy += comp_time
-        hbm_bytes_total += kernel.hbm_bytes
-        flops_total += kernel.flops
+    for rows in derive_per_layer(decode_step_layer_values(workload), derive):
+        for latency, hbm_bytes, flops in rows:
+            total_time += latency
+            hbm_bytes_total += hbm_bytes
+            flops_total += flops
 
     # Two all-reduces per layer (attention output, MLP output).
     payload = workload.batch_size * workload.model.hidden_size * workload.act_dtype.nbytes

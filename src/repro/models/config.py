@@ -9,6 +9,7 @@ traffic scales with batch size -- Fig 1's dense-vs-MoE comparison).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -146,6 +147,18 @@ class ModelConfig:
         # MoE layers sit at the end of each interleave period, matching
         # Llama4-Maverick's alternating dense/MoE structure.
         return layer_index % self.moe.interleave == self.moe.interleave - 1
+
+    @property
+    def layer_period(self) -> int:
+        """A period of the layer structure: layers ``i`` and
+        ``i % layer_period`` always share attention span and MoE-ness.
+        1 for uniform models (Llama3); ``lcm(global_period, interleave)``
+        when local attention or interleaved MoE varies the layers
+        (Llama4: 4)."""
+        attention = self.attention
+        attn_period = 1 if attention.local_window is None else attention.global_period
+        moe_period = 1 if self.moe is None else self.moe.interleave
+        return math.lcm(attn_period, moe_period)
 
     @property
     def num_moe_layers(self) -> int:

@@ -19,10 +19,12 @@ Kernel accounting conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from enum import Enum
+from typing import NamedTuple, TypeVar
 
 from repro.models.workload import Workload
+from repro.util.stats import left_sum
 
 
 class KernelKind(Enum):
@@ -35,9 +37,12 @@ class KernelKind(Enum):
     COLLECTIVE = "collective"  # network-only (broadcast / reduce)
 
 
-@dataclass(frozen=True)
-class KernelProfile:
-    """Resource profile of one kernel instance within a step."""
+class KernelProfile(NamedTuple):
+    """Resource profile of one kernel instance within a step.
+
+    Immutable and hashable.  A named tuple because the cost models build
+    one per kernel of every priced shape and tuples are the cheapest
+    immutable record to construct."""
 
     name: str
     kind: KernelKind
@@ -255,11 +260,15 @@ def prefill_step_profile(workload: Workload, chunk_tokens: int) -> list[KernelPr
 # ----------------------------------------------------------------------
 # A layer's kernel values are a pure function of its attention span and
 # whether it is MoE -- the ``layer`` label is the only thing that
-# distinguishes two full-attention dense layers.  The perf models reduce
-# kernel *values* in layer order and never read the label, so they can
-# reuse one kernel list per distinct signature and still accumulate the
-# exact same float sequence.  Graph lowering (which keys on ``layer``)
-# must keep using the labeled profiles above.
+# distinguishes two full-attention dense layers.  Both repeat with
+# ``ModelConfig.layer_period`` (1 for Llama3, 4 for Llama4), so the
+# signatures of the first period describe every layer.  The perf models
+# reduce kernel *values* in layer order and never read the label: they
+# derive their per-kernel rows once per distinct layer list
+# (:func:`derive_per_layer`) and fold the rows layer by layer, which
+# accumulates the exact float sequence of a flat per-kernel loop.
+# Graph lowering (which keys on ``layer``) must keep using the labeled
+# profiles above.
 def layer_step_profiles(workload: Workload, tokens: int) -> list[list[KernelProfile]]:
     """Per-layer kernel lists for one step processing ``tokens`` new
     tokens, computing each distinct (attention-span, MoE) layer
@@ -269,16 +278,16 @@ def layer_step_profiles(workload: Workload, tokens: int) -> list[list[KernelProf
     model = workload.model
     attn = model.attention
     seq_len = workload.seq_len
-    cache: dict[tuple[int, bool], list[KernelProfile]] = {}
-    profiles: list[list[KernelProfile]] = []
-    for layer in range(model.num_layers):
+    by_signature: dict[tuple[int, bool], list[KernelProfile]] = {}
+    period: list[list[KernelProfile]] = []
+    for layer in range(min(model.layer_period, model.num_layers)):
         signature = (attn.attention_span(layer, seq_len), model.is_moe_layer(layer))
-        kernels = cache.get(signature)
+        kernels = by_signature.get(signature)
         if kernels is None:
-            kernels = _layer_kernels(workload, layer, tokens)
-            cache[signature] = kernels
-        profiles.append(kernels)
-    return profiles
+            kernels = by_signature[signature] = _layer_kernels(workload, layer, tokens)
+        period.append(kernels)
+    repeats, rest = divmod(model.num_layers, len(period))
+    return period * repeats + period[:rest]
 
 
 def decode_step_layer_values(workload: Workload) -> list[list[KernelProfile]]:
@@ -291,26 +300,26 @@ def decode_step_layer_values(workload: Workload) -> list[list[KernelProfile]]:
     return profiles
 
 
-def decode_step_values(workload: Workload) -> list[KernelProfile]:
-    """Value-identical to :func:`decode_step_profile` (same kernels, same
-    order, bit-identical numbers) with shared per-signature layer lists;
-    ``layer`` labels repeat.  For reductions, not graph lowering."""
-    kernels: list[KernelProfile] = []
-    for layer_kernels in decode_step_layer_values(workload):
-        kernels.extend(layer_kernels)
-    return kernels
+_Row = TypeVar("_Row")
 
 
-def prefill_step_values(workload: Workload, chunk_tokens: int) -> list[KernelProfile]:
-    """Value-identical to :func:`prefill_step_profile` with shared
-    per-signature layer lists; ``layer`` labels repeat."""
-    if chunk_tokens < 1:
-        raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
-    kernels: list[KernelProfile] = []
-    tokens = workload.batch_size * chunk_tokens
-    for layer_kernels in layer_step_profiles(workload, tokens):
-        kernels.extend(layer_kernels)
-    return kernels
+def derive_per_layer(
+    layer_lists: Sequence[list[KernelProfile]],
+    derive: Callable[[list[KernelProfile]], _Row],
+) -> list[_Row]:
+    """``[derive(kernels) for kernels in layer_lists]``, calling
+    ``derive`` once per distinct list object.  Layers sharing a
+    signature share one kernel list, so they share its derived rows:
+    folding the result in order gives the same floats as deriving and
+    accumulating kernel by kernel."""
+    derived: dict[int, _Row] = {}
+    rows: list[_Row] = []
+    for kernels in layer_lists:
+        row = derived.get(id(kernels))
+        if row is None:
+            row = derived[id(kernels)] = derive(kernels)
+        rows.append(row)
+    return rows
 
 
 def _lm_head(workload: Workload, tokens: int) -> KernelProfile:
@@ -329,12 +338,12 @@ def _lm_head(workload: Workload, tokens: int) -> KernelProfile:
 def step_totals(kernels: list[KernelProfile]) -> dict[str, float]:
     """Aggregate a step profile: flops, weight/kv/hbm/collective bytes."""
     return {
-        "flops": sum(k.flops for k in kernels),
-        "weight_bytes": sum(k.weight_bytes for k in kernels),
-        "kv_bytes": sum(k.kv_bytes for k in kernels),
-        "hbm_bytes": sum(k.hbm_bytes for k in kernels),
-        "act_bytes": sum(k.act_bytes for k in kernels),
-        "collective_bytes": sum(k.collective_bytes for k in kernels),
+        "flops": left_sum(k.flops for k in kernels),
+        "weight_bytes": left_sum(k.weight_bytes for k in kernels),
+        "kv_bytes": left_sum(k.kv_bytes for k in kernels),
+        "hbm_bytes": left_sum(k.hbm_bytes for k in kernels),
+        "act_bytes": left_sum(k.act_bytes for k in kernels),
+        "collective_bytes": left_sum(k.collective_bytes for k in kernels),
     }
 
 
@@ -347,19 +356,15 @@ def chunked_prefill_flops(workload: Workload, chunk_tokens: int = 2048) -> float
         return 0.0
     num_chunks = max(1, round(prompt / chunk_tokens))
     tokens = workload.batch_size * (prompt // num_chunks)
-    # Flat per-kernel accumulation in layer order; identical layer lists
-    # contribute identical flops rows, so reading each distinct list's
-    # flops once keeps the float sequence of the flat sum.
-    flops_rows: dict[int, tuple[float, ...]] = {}
     total = 0.0
-    for kernels in layer_step_profiles(workload, tokens):
-        row = flops_rows.get(id(kernels))
-        if row is None:
-            row = tuple(k.flops for k in kernels)
-            flops_rows[id(kernels)] = row
+    for row in derive_per_layer(layer_step_profiles(workload, tokens), _flops_row):
         for flops in row:
             total += flops
     return total * num_chunks
+
+
+def _flops_row(kernels: list[KernelProfile]) -> list[float]:
+    return [kernel.flops for kernel in kernels]
 
 
 def step_arithmetic_intensity(workload: Workload) -> float:

@@ -138,7 +138,7 @@ from repro.serving.tenancy import (
 )
 from repro.serving.tenancy import fairness as _attainment_fairness
 from repro.specdec.fleet import SpecDecConfig
-from repro.util.stats import mean, percentile, sort_values
+from repro.util.stats import left_sum, mean, percentile, sort_values
 from repro.util.tables import Table
 
 #: Decode-step latency is memoized on context quantized (floored) to this
@@ -1077,7 +1077,7 @@ class ClusterReport:
     @property
     def total_swap_bytes(self) -> float:
         """Bytes that crossed the host link (swap-out + swap-in)."""
-        return sum(p.swap_out_bytes + p.swap_in_bytes for p in self.pod_stats)
+        return left_sum(p.swap_out_bytes + p.swap_in_bytes for p in self.pod_stats)
 
     # -- paged-KV health ----------------------------------------------
     @property
@@ -1088,15 +1088,15 @@ class ClusterReport:
     def mean_decode_kv_occupancy(self) -> float:
         """Busy-time-weighted mean KV-pool occupancy across decode pods."""
         decode = [p for p in self.pod_stats if p.kind == "decode"]
-        busy = sum(p.busy_s for p in decode)
+        busy = left_sum(p.busy_s for p in decode)
         if busy == 0.0:  # simlint: ok[digest-safety] zero-accumulator sentinel, only ever exactly 0.0
             return 0.0
-        return sum(p.kv_occupancy * p.busy_s for p in decode) / busy
+        return left_sum(p.kv_occupancy * p.busy_s for p in decode) / busy
 
     # -- energy --------------------------------------------------------
     @property
     def total_energy_j(self) -> float:
-        return sum(p.energy_j for p in self.pod_stats)
+        return left_sum(p.energy_j for p in self.pod_stats)
 
     @property
     def energy_per_token_j(self) -> float:
@@ -1107,7 +1107,7 @@ class ClusterReport:
     def cost_usd(self) -> float:
         """Fleet cost: each pod's active pod-hours at its platform's
         $/pod-hour rate (elastic fleets pay only for provisioned time)."""
-        return sum(p.cost_usd for p in self.pod_stats)
+        return left_sum(p.cost_usd for p in self.pod_stats)
 
     @property
     def usd_per_mtok(self) -> float:
@@ -2074,7 +2074,7 @@ class ClusterSim:
             p for p in self.decode_pods if p.active and not p.draining
         ]
         if routable:
-            kv_term = sum(p.scheduler.kv_occupancy for p in routable) / len(
+            kv_term = left_sum(p.scheduler.kv_occupancy for p in routable) / len(
                 routable
             )
         else:
@@ -2105,7 +2105,7 @@ class ClusterSim:
             "queue_depth": float(len(self._queue)),
             "fleet_pressure": self._fleet_pressure(),
             "kv_occupancy": (
-                sum(p.scheduler.kv_occupancy for p in routable)
+                left_sum(p.scheduler.kv_occupancy for p in routable)
                 / len(routable)
                 if routable
                 else 0.0
@@ -2805,7 +2805,7 @@ class ClusterSim:
             p for p in self.decode_pods if p.active and not p.draining
         ]
         if routable:
-            decode_pressure = sum(
+            decode_pressure = left_sum(
                 p.scheduler.kv_occupancy for p in routable
             ) / len(routable)
         else:

@@ -53,6 +53,7 @@ from collections.abc import Callable, Iterable
 from repro.models.config import ModelConfig
 from repro.models.dtypes import DType
 from repro.models.workload import Workload
+from repro.util.stats import left_sum
 
 
 class ArrivalProcess(enum.Enum):
@@ -322,7 +323,7 @@ def sibling_ttft_mean(records: Iterable, founders: set[int]) -> float:
         if record.request.prefix_id is not None
         and record.request.request_id not in founders
     ]
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def prefix_founders(requests: Iterable[Request]) -> set[int]:
@@ -744,7 +745,7 @@ class RequestGenerator:
         return max(lo, min(value, hi))
 
     def _pick_class(self, rng: random.Random) -> TrafficClass:
-        total = sum(c.weight for c in self.classes)
+        total = left_sum(c.weight for c in self.classes)
         mark = rng.random() * total
         acc = 0.0
         for cls in self.classes:

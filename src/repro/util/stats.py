@@ -11,7 +11,7 @@ report digests cannot depend on which leg produced them.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 try:  # optional acceleration; never a hard dependency
     import numpy as _np
@@ -76,10 +76,27 @@ def percentile(
     return percentiles(values, (q,), presorted=presorted)[0]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``((v0 + v1) + v2) + ...``: the plain left-to-right sum.
+
+    Every float total that reaches a report goes through this rather
+    than the builtin ``sum()``, which uses compensated summation for
+    floats since CPython 3.12 (``sum([1e16, 1.0, -1e16])`` is 0.0 on
+    3.11 and 1.0 on 3.12): report digests pin these floats, so they
+    must not depend on the interpreter version.  Starts from ``0`` as
+    ``sum()`` does.
+    """
+    total: float = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean (0.0 for an empty sequence).
 
-    Always the scalar left-to-right ``sum``: numpy's pairwise summation
-    would change the rounding, and report digests pin these floats.
+    Always the scalar left-to-right sum (:func:`left_sum`): numpy's
+    pairwise summation would change the rounding, and report digests
+    pin these floats.
     """
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0

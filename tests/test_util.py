@@ -172,6 +172,17 @@ class TestStats:
         with pytest.raises(ValueError):
             percentile([1.0], -0.5)
 
+    def test_sums_are_left_folds_on_every_interpreter(self):
+        """The builtin ``sum()`` compensates float rounding since
+        CPython 3.12 (it gives 1.0 here); reports must not."""
+        from repro.util.stats import left_sum, mean
+
+        values = [1e16, 1.0, -1e16]
+        assert left_sum(values) == (1e16 + 1.0) - 1e16 == 0.0
+        assert left_sum(iter(values)) == 0.0
+        assert mean(values) == 0.0
+        assert left_sum([]) == 0
+
 
 class TestProfiling:
     def test_timer_context_manager(self):
