@@ -1,32 +1,45 @@
-"""Simulator-speed benchmark: the vectorized event core vs the frozen
-PR 6 reference on a production multi-tenant scenario -- emitted as a
-table and as machine-readable ``BENCH_sim_speed.json``.
+"""Simulator-speed benchmark: the bulk quiet decode lane against the
+per-step decode lane on a production multi-tenant scenario -- emitted as
+a table and as machine-readable ``BENCH_sim_speed.<mode>.json``.
 
-The acceptance claim (ISSUE 7): on a 100k-request
-``multi_tenant_prod``-class run, the batched event engine (bulk quiet
-decode lane, cross-pod quiet horizon, in-span KV block growth, cost
-memoization) completes at least 10x faster than the PR 6 code path
-while producing a digest-identical :class:`ClusterReport` -- same
-floats, same event order, same JSON.
+``ClusterSim._bulk_quiet_steps`` returning False sends every decode
+boundary through the per-step path, the oracle
+``tests/serving/test_bulk_lane.py`` checks the lane against.  So the
+same scenario runs once as shipped (lane on) and once with that method
+patched off through pytest's ``monkeypatch`` (lane off); the simulator
+has no switch for it.  The bench asserts:
+
+- digest: both lanes reproduce the report digest pinned for the mode
+  (``DIGESTS``) -- same floats, same event order, same JSON;
+- speed: lane-off / lane-on wall-clock is at least the mode's floor;
+- coverage: ``ContinuousBatchScheduler.advance`` calls (exact and
+  machine-independent) satisfy lane-on x ``MIN_COLLAPSE`` <= lane-off,
+  so a patch that silently stops working cannot time the fast lane
+  twice.  Both timed runs count through the same wrapper, which costs
+  about 0.1 us per call (under 1% of the lane-off run);
+- observation: a traced lane-on run keeps the digest and costs at most
+  ``MAX_TRACE_OVERHEAD`` x the untraced one.
 
 Two modes share one scenario shape, scaled by stretching the arrival
-traces' duration (rates, tenants, policies untouched):
+traces' duration (rates, tenants, policies untouched), and each writes
+its own artifact, so a smoke run never overwrites the full one:
 
-- smoke (default, CI): ``SMOKE_SCALE`` -- a ~1.3k-request run that
-  checks digest equality end-to-end and a conservative speedup floor.
-- full: ``REPRO_SIM_SPEED_FULL=1`` -- the 100k-request pinned run the
-  committed JSON is produced from (several minutes: it runs the
-  reference simulator too).
+- smoke (default, CI): about 1.3k requests.
+- full: ``REPRO_SIM_SPEED_FULL=1`` -- about 102k requests; about 25
+  minutes on a 2-vCPU Xeon VM, most of it the lane-off run.
+
+Wall-clock depends on the host, so the payload stamps the Python
+version, the numpy leg of ``repro.util.stats`` and ``os.cpu_count()``.
 """
 
 import dataclasses
 import os
+import platform
 import time
 from pathlib import Path
 
 from conftest import emit
 
-import _reference_sim
 from _emit import write_bench_json
 from repro import TraceConfig
 from repro.api import (
@@ -43,18 +56,26 @@ from repro.models.llama3 import LLAMA3_8B
 from repro.serving import BATCH, INTERACTIVE, STANDARD
 from repro.serving.cluster import ClusterSim
 from repro.serving.engine import report_digest
-from repro.util.profiling import Timer
+from repro.serving.scheduler import ContinuousBatchScheduler
+from repro.util import stats
 from repro.util.tables import Table
 
-JSON_PATH = Path(__file__).resolve().parent / "BENCH_sim_speed.json"
-
-SMOKE_SCALE = 8          # ~1.3k requests; CI-sized
-FULL_SCALE = 600         # ~102k requests (>= the 100k the pin names)
-SMOKE_MIN_SPEEDUP = 4.0  # measured ~10x; floor leaves CI-machine slack
-FULL_MIN_SPEEDUP = 10.0  # the ISSUE 7 acceptance pin
-MAX_TRACE_OVERHEAD = 1.25  # traced run may cost at most 25% wall-clock
-TRACE_TIMING_ROUNDS = 3    # min-of-N absorbs machine noise
 FULL = bool(os.environ.get("REPRO_SIM_SPEED_FULL"))
+MODE = "full" if FULL else "smoke"
+JSON_PATH = Path(__file__).resolve().parent / f"BENCH_sim_speed.{MODE}.json"
+
+SCALES = {"smoke": 8, "full": 600}  # ~1.3k / ~102k requests
+#: Report digest of each mode's scenario; both lanes must reproduce it.
+DIGESTS = {
+    "smoke": "d71e7fe936c6b8e6c54a3af043190d11a6b4662a50884b73cbf03b9a6de16ca8",
+    "full": "c1ca71828d66449d80c4184f51a7188262f9b5832eb41feeaba254df1db344c0",
+}
+#: Lane-off / lane-on wall-clock floor.  Smoke leaves CI-machine slack;
+#: full is the acceptance pin of the batched engine.
+MIN_LANE_RATIO = {"smoke": 4.0, "full": 10.0}
+MIN_COLLAPSE = 20          # lane-on advance calls x this <= lane-off
+MAX_TRACE_OVERHEAD = 1.25  # traced run may cost at most 25% wall-clock
+TRACE_TIMING_ROUNDS = {"smoke": 3, "full": 1}  # min-of-N absorbs noise
 
 
 def scenario(scale: float) -> Scenario:
@@ -103,66 +124,76 @@ def scenario(scale: float) -> Scenario:
 
 
 def build(scale: float):
-    """(config, requests) for one run; called once per simulator so
-    each gets a fresh, identically-seeded request list."""
+    """(config, requests) for one run; called once per run so each
+    gets a fresh, identically-seeded request list."""
     scn = scenario(scale)
     return scn.cluster(), scn.requests()
 
 
-def timed_run(scale: float, *, traced: bool, rounds: int):
-    """Min-of-``rounds`` wall-clock for one engine run (fresh config
-    and request list per round), plus the last report's digest."""
-    best_s = float("inf")
-    digest = ""
-    for _ in range(rounds):
-        config, requests = build(scale)
-        if traced:
-            config = dataclasses.replace(config, trace=TraceConfig())
+def lane_run(monkeypatch, scale: float, *, lane: bool = True,
+             traced: bool = False):
+    """(report, wall seconds, ``advance`` calls) of one run on a fresh
+    config and request list, with the bulk quiet lane on or patched
+    off, and tracing off or on."""
+    config, requests = build(scale)
+    if traced:
+        config = dataclasses.replace(config, trace=TraceConfig())
+    calls = [0]
+    advance = ContinuousBatchScheduler.advance
+
+    def counted(self, step_end_s):
+        calls[0] += 1
+        return advance(self, step_end_s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ContinuousBatchScheduler, "advance", counted)
+        if not lane:
+            patch.setattr(
+                ClusterSim, "_bulk_quiet_steps", lambda self, now, pod: False
+            )
         t0 = time.perf_counter()
         report = ClusterSim(config).run(requests)
-        best_s = min(best_s, time.perf_counter() - t0)
-        digest = report_digest(report)
-    return best_s, digest
+        wall_s = time.perf_counter() - t0
+    return report, wall_s, calls[0]
 
 
-def test_sim_speed(benchmark):
-    scale = FULL_SCALE if FULL else SMOKE_SCALE
-    config, requests = build(scale)
-    num_requests = len(requests)
+def test_sim_speed(benchmark, monkeypatch):
+    scale = SCALES[MODE]
+    pinned = DIGESTS[MODE]
+
+    report, on_s, on_calls = benchmark.pedantic(
+        lambda: lane_run(monkeypatch, scale, lane=True), rounds=1, iterations=1
+    )
+    num_requests = report.num_submitted
     if FULL:
         assert num_requests >= 100_000
+    assert report_digest(report) == pinned, "lane-on digest moved"
+    off_report, off_s, off_calls = lane_run(monkeypatch, scale, lane=False)
+    assert report_digest(off_report) == pinned, "lane-off digest moved"
 
-    report = benchmark.pedantic(
-        lambda: ClusterSim(config).run(requests), rounds=1, iterations=1
+    assert on_calls * MIN_COLLAPSE <= off_calls, (
+        f"lane-on made {on_calls:,} advance calls and lane-off "
+        f"{off_calls:,}: the patch no longer turns the bulk lane off"
     )
-    new_s = benchmark.stats.stats.total
-
-    ref_config, ref_requests = build(scale)
-    with Timer("reference") as ref_timer:
-        ref_report = _reference_sim.simulate(ref_config, ref_requests)
-    ref_s = ref_timer.elapsed_s
-
-    # -- digest-identical reports: same lifecycle floats, same event
-    # order, same serialized JSON -------------------------------------
-    digest = report_digest(report)
-    assert digest == report_digest(ref_report)
-
-    speedup = ref_s / new_s
-    floor = FULL_MIN_SPEEDUP if FULL else SMOKE_MIN_SPEEDUP
-    assert speedup >= floor, (
-        f"engine speedup {speedup:.2f}x under the {floor:.0f}x floor "
-        f"(new {new_s:.2f}s vs reference {ref_s:.2f}s)"
+    lane_ratio = off_s / on_s
+    floor = MIN_LANE_RATIO[MODE]
+    assert lane_ratio >= floor, (
+        f"bulk lane {lane_ratio:.2f}x faster than per-step, under the "
+        f"{floor:.0f}x floor (lane on {on_s:.2f}s vs off {off_s:.2f}s)"
     )
 
     # -- observability overhead: the traced run must stay digest-
     # identical (zero-cost-off is pinned in the test suite; this pins
     # bounded-cost-ON) and within MAX_TRACE_OVERHEAD of the untraced
     # wall-clock, min-of-N timed so machine noise can't flake the bound.
-    rounds = 1 if FULL else TRACE_TIMING_ROUNDS
-    untraced_s, untraced_digest = timed_run(scale, traced=False, rounds=rounds)
-    traced_s, traced_digest = timed_run(scale, traced=True, rounds=rounds)
-    assert untraced_digest == digest
-    assert traced_digest == digest, "tracing perturbed the simulation"
+    best_s = {}
+    for traced in (False, True):
+        best_s[traced] = float("inf")
+        for _ in range(TRACE_TIMING_ROUNDS[MODE]):
+            run, wall_s, _ = lane_run(monkeypatch, scale, traced=traced)
+            assert report_digest(run) == pinned, f"traced={traced} digest moved"
+            best_s[traced] = min(best_s[traced], wall_s)
+    untraced_s, traced_s = best_s[False], best_s[True]
     trace_overhead = traced_s / untraced_s
     assert trace_overhead <= MAX_TRACE_OVERHEAD, (
         f"traced run cost {trace_overhead:.3f}x the untraced one, over the "
@@ -170,38 +201,48 @@ def test_sim_speed(benchmark):
         f"(traced {traced_s:.3f}s vs untraced {untraced_s:.3f}s)"
     )
 
-    table = Table("Simulator speed: batched engine vs PR 6 reference",
+    machine = {
+        "python": platform.python_version(),
+        "numpy": "off" if stats._np is None else "on",
+        "cpu_count": os.cpu_count(),
+    }
+    table = Table("Simulator speed: bulk quiet lane vs per-step lane",
                   ["metric", "value"])
-    table.add_row(["mode", "full (pinned)" if FULL else "smoke"])
+    table.add_row(["mode", MODE])
     table.add_row(["requests", f"{num_requests:,}"])
     table.add_row(["decode tokens", f"{report.decode_tokens:,}"])
-    table.add_row(["reference wall (s)", f"{ref_s:.2f}"])
-    table.add_row(["batched engine wall (s)", f"{new_s:.2f}"])
-    table.add_row(["speedup", f"{speedup:.2f}x"])
+    table.add_row(["lane-off wall (s)", f"{off_s:.2f}"])
+    table.add_row(["lane-on wall (s)", f"{on_s:.2f}"])
+    table.add_row(["lane ratio", f"{lane_ratio:.2f}x"])
+    table.add_row(["advance calls off / on", f"{off_calls:,} / {on_calls:,}"])
     table.add_row(["trace overhead", f"{trace_overhead:.3f}x"])
-    table.add_row(["report digest", digest[:16]])
+    table.add_row(["report digest", pinned[:16]])
+    table.add_row(["machine", ", ".join(f"{k} {v}" for k, v in machine.items())])
     emit(table)
 
     write_bench_json(
         JSON_PATH,
         "sim_speed",
         config={
-            "mode": "full" if FULL else "smoke",
+            "mode": MODE,
             "scale": scale,
-            "min_speedup": floor,
+            "min_lane_ratio": floor,
+            "min_collapse": MIN_COLLAPSE,
             "max_trace_overhead": MAX_TRACE_OVERHEAD,
         },
         metrics={
             "requests": num_requests,
             "decode_tokens": report.decode_tokens,
-            "reference_wall_s": ref_s,
-            "engine_wall_s": new_s,
-            "speedup": speedup,
+            "lane_off_wall_s": off_s,
+            "lane_on_wall_s": on_s,
+            "lane_ratio": lane_ratio,
+            "lane_off_advance_calls": off_calls,
+            "lane_on_advance_calls": on_calls,
             "untraced_wall_s": untraced_s,
             "traced_wall_s": traced_s,
             "trace_overhead": trace_overhead,
-            "digest": digest,
-            "digest_match": True,
+            "digest": pinned,
+            "machine": machine,
             "report": {
                 "goodput": report.goodput,
                 "tokens_per_s": report.tokens_per_s,

@@ -2923,7 +2923,8 @@ class ClusterSim:
     def _stall_report(self, records: list[RequestRecord]) -> str:
         """The :class:`SimulationStalled` message: where each of up to
         ten stranded requests last stood, then every decode pod's
-        queue, batch and parked counts."""
+        queue, batch and parked counts and its KV store's byte ledgers
+        (leased, shared and cached against the pod budget, then host)."""
         stage: dict[int, str] = {}
         for job in self._queue:
             stage[job.record.request.request_id] = (
@@ -2961,10 +2962,15 @@ class ClusterSim:
             lines.append(f"  ... and {len(stranded) - 10} more")
         for pod in self.decode_pods:
             scheduler = pod.scheduler
+            store = pod.store
             lines.append(
                 f"  {pod.pod_id}: queue {len(scheduler.queue)}, "
                 f"batch {len(scheduler.active)}, "
-                f"parked {len(scheduler.parked)}"
+                f"parked {len(scheduler.parked)}, "
+                f"KV {store.bytes_in_use!r} leased + "
+                f"{store.shared_bytes!r} shared + "
+                f"{store.cached_bytes!r} cached of {store.budget_bytes!r} B, "
+                f"host {store.host_bytes!r} B"
             )
         return "\n".join(lines)
 

@@ -1,11 +1,13 @@
 """The bulk quiet lane against its oracle: the per-step decode path.
 
 ``ClusterSim._bulk_quiet_steps`` returning False sends every decode
-boundary through the single-step path, so patching it off (here only,
-with no switch in the simulator) gives a reference run of the same
-scenario.  The lane is a pure speed-up: both runs must produce the same
-report digest, on reasoning traffic whose tool-call pauses and busy
-prefill queue the lane chains over.
+boundary through the single-step path, so patching it off (with pytest's
+``monkeypatch``; the simulator has no switch for it) gives a reference
+run of the same scenario.  ``benchmarks/bench_sim_speed.py`` applies the
+same patch to time the lane against this path.  The lane is a pure
+speed-up: both runs must produce the same report digest, on reasoning
+traffic whose tool-call pauses and busy prefill queue the lane chains
+over.
 """
 
 import itertools

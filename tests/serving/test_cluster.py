@@ -157,6 +157,11 @@ class TestLiveness:
         assert "  ... and 2 more" in message
         assert "  decode0: queue 6, batch 0, parked 0" in message
         assert "  decode1: queue 6, batch 0, parked 0" in message
+        # Nothing was admitted, so neither pod's KV store holds a byte.
+        assert message.count(
+            " parked 0, KV 0.0 leased + 0.0 shared + 0.0 cached "
+            "of 200000000.0 B, host 0.0 B"
+        ) == 2
 
     def test_prefill_queue_that_never_drains(self, monkeypatch):
         message = self._stall(
@@ -174,6 +179,11 @@ class TestLiveness:
         message = self._stall(monkeypatch, ClusterSim, "_on_step", admit_only)
         assert "  request 0: admitted on decode0 at " in message
         assert "  decode0: queue 0, batch 6, parked 0" in message
+        # The six admitted 256-token prompts lease 16 MiB of KV each.
+        assert (
+            "  decode0: queue 0, batch 6, parked 0, KV 100663296.0 leased "
+            "+ 0.0 shared + 0.0 cached of 200000000.0 B, host 0.0 B"
+        ) in message
 
     def test_request_lost_after_prefill(self, monkeypatch):
         message = self._stall(
