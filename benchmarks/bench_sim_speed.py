@@ -29,7 +29,7 @@ its own artifact, so a smoke run never overwrites the full one:
   minutes on a 2-vCPU Xeon VM, most of it the lane-off run.
 
 Wall-clock depends on the host, so the payload stamps the Python
-version, the numpy leg of ``repro.util.stats`` and ``os.cpu_count()``.
+version and ``os.cpu_count()``.
 """
 
 import dataclasses
@@ -57,7 +57,6 @@ from repro.serving import BATCH, INTERACTIVE, STANDARD
 from repro.serving.cluster import ClusterSim
 from repro.serving.engine import report_digest
 from repro.serving.scheduler import ContinuousBatchScheduler
-from repro.util import stats
 from repro.util.tables import Table
 
 FULL = bool(os.environ.get("REPRO_SIM_SPEED_FULL"))
@@ -203,7 +202,6 @@ def test_sim_speed(benchmark, monkeypatch):
 
     machine = {
         "python": platform.python_version(),
-        "numpy": "off" if stats._np is None else "on",
         "cpu_count": os.cpu_count(),
     }
     table = Table("Simulator speed: bulk quiet lane vs per-step lane",

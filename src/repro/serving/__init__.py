@@ -58,7 +58,6 @@ from repro.serving.requests import (
     ArrivalTrace,
     Request,
     RequestGenerator,
-    RequestTable,
     TraceRow,
     TrafficClass,
     merge_requests,
@@ -121,7 +120,6 @@ __all__ = [
     "QueryResult",
     "Request",
     "RequestGenerator",
-    "RequestTable",
     "Reservation",
     "SimulationStalled",
     "SwapPolicy",

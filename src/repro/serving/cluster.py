@@ -92,7 +92,7 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 from repro.analysis.perf_model import system_for
 from repro.gpu.system import GpuSystem
@@ -118,7 +118,7 @@ from repro.serving.contracts import mutates, pure_probe
 from repro.serving.disaggregated import INTERACTION_THRESHOLD_S
 from repro.serving.engine import EventCalendar, run_loop
 from repro.serving.kvstore import KvBlockStore, SwapPolicy, swap_recompute_costs
-from repro.serving.requests import LIFECYCLE_COLUMNS, Request, RequestTable
+from repro.serving.requests import Request
 from repro.serving.scheduler import (
     _EPS_BYTES,
     ActiveRequest,
@@ -138,7 +138,7 @@ from repro.serving.tenancy import (
 )
 from repro.serving.tenancy import fairness as _attainment_fairness
 from repro.specdec.fleet import SpecDecConfig
-from repro.util.stats import left_sum, mean, percentile, sort_values
+from repro.util.stats import left_sum, mean, percentile
 from repro.util.tables import Table
 
 #: Decode-step latency is memoized on context quantized (floored) to this
@@ -672,14 +672,8 @@ class RequestRecord:
 
     A preempted request goes around the prefill/transfer/admit loop
     again, so the per-stage timestamps reflect its *last* pass; waiting
-    time is accumulated across passes in ``queue_wait_s``.
-
-    Since the struct-of-arrays refactor this is a thin *view* over one
-    :class:`~repro.serving.requests.RequestTable` row: every field
-    below is a property reading (and writing) the table's column at
-    this record's row, so the simulator's hot loops can work on the
-    columns directly while reports and callers keep the familiar
-    per-request object.  Field semantics:
+    time is accumulated across passes in ``queue_wait_s``.  Field
+    semantics:
 
     - ``rejected`` -- could never fit any pod; ``shed`` -- dropped at
       the door by admission control (tenant bucket empty under fleet
@@ -701,56 +695,50 @@ class RequestRecord:
       admission queue), summed over every pass through the pipeline.
     """
 
-    __slots__ = ("table", "row")
+    __slots__ = (
+        "request",
+        "rejected",
+        "shed",
+        "prefill_pod",
+        "decode_pod",
+        "prefill_start_s",
+        "prefill_end_s",
+        "transfer_end_s",
+        "admitted_s",
+        "first_token_s",
+        "completed_s",
+        "num_preemptions",
+        "group_inflight",
+        "num_swaps",
+        "cached_prefix_tokens",
+        "resume_tokens",
+        "queue_wait_s",
+    )
 
-    if TYPE_CHECKING:
-        # The lifecycle accessors are generated below from
-        # LIFECYCLE_COLUMNS (one read/write property per RequestTable
-        # column); declared here so type checkers see them.
-        rejected: bool
-        shed: bool
-        prefill_pod: str
-        decode_pod: str
-        prefill_start_s: float
-        prefill_end_s: float
-        transfer_end_s: float
-        admitted_s: float
-        first_token_s: float | None
-        completed_s: float | None
-        num_preemptions: int
-        group_inflight: bool
-        num_swaps: int
-        cached_prefix_tokens: int
-        resume_tokens: int
-        queue_wait_s: float
-
-    def __init__(
-        self,
-        request: Request | None = None,
-        *,
-        table: RequestTable | None = None,
-        row: int = -1,
-        **fields: object,
-    ) -> None:
-        if table is None:
-            # Standalone construction (tests, ad-hoc callers): a
-            # single-row table behind the scenes.
-            table = RequestTable()
-            row = table.add(request)
-        self.table = table
-        self.row = row
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-    @property
-    def request(self) -> Request:
-        return self.table.requests[self.row]
+    def __init__(self, request: Request) -> None:
+        self.request = request
+        self.rejected = False
+        self.shed = False
+        self.prefill_pod = ""
+        self.decode_pod = ""
+        self.prefill_start_s = 0.0
+        self.prefill_end_s = 0.0
+        self.transfer_end_s = 0.0
+        self.admitted_s = 0.0
+        self.first_token_s: float | None = None
+        self.completed_s: float | None = None
+        self.num_preemptions = 0
+        self.group_inflight = False
+        self.num_swaps = 0
+        self.cached_prefix_tokens = 0
+        self.resume_tokens = 0
+        self.queue_wait_s = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cols = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in LIFECYCLE_COLUMNS
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
         )
-        return f"RequestRecord(request={self.request!r}, {cols})"
+        return f"RequestRecord({fields})"
 
     @property
     def done(self) -> bool:
@@ -782,28 +770,6 @@ class RequestRecord:
         accumulated across preemption passes -- service time (prefill,
         transfer, decode) is never counted as queueing."""
         return self.queue_wait_s
-
-    @property
-    def interactive(self) -> bool:
-        return self.done and self.end_to_end_s <= INTERACTION_THRESHOLD_S
-
-
-def _column_property(name: str) -> property:
-    """Read/write accessor for one :class:`RequestTable` column at the
-    record's row."""
-
-    def _get(self: RequestRecord, _name: str = name) -> object:
-        return getattr(self.table, _name)[self.row]
-
-    def _set(self: RequestRecord, value: object, _name: str = name) -> None:
-        getattr(self.table, _name)[self.row] = value
-
-    return property(_get, _set)
-
-
-for _name in LIFECYCLE_COLUMNS:
-    setattr(RequestRecord, _name, _column_property(_name))
-del _name
 
 
 @dataclass
@@ -929,10 +895,6 @@ class ClusterReport:
     tenants: tuple[TenantSpec, ...] = ()
     #: Autoscaler audit trail (empty for a static fleet).
     scaling_events: tuple[ScalingEvent, ...] = ()
-    #: The run's struct-of-arrays request state (None for reports built
-    #: by hand or by external simulators; every metric falls back to
-    #: attribute access over the record views).  Not serialized.
-    table: RequestTable | None = None
     #: Frozen span recording of a traced run (``config.trace`` set):
     #: ``trace.to_chrome_json()`` opens in ``chrome://tracing``.  Not
     #: serialized by :meth:`to_json` -- the digest pins cover traced and
@@ -956,9 +918,7 @@ class ClusterReport:
         (and sorted) once per report."""
         values = self._memo.get(attr)
         if values is None:
-            values = sort_values(
-                [getattr(r, attr) for r in self.completed]
-            )
+            values = sorted(getattr(r, attr) for r in self.completed)
             self._memo[attr] = values
         return values
 
@@ -1423,9 +1383,6 @@ class ClusterSim:
         #: ring per probe would drown REPRO_CHECK runs; the
         #: ``obs_hygiene`` simlint checker covers it statically).
         self._obs: TraceRecorder | None = None
-        #: Struct-of-arrays request state for the current run (created
-        #: in :meth:`run`; pods built mid-run inherit it).
-        self._table: RequestTable | None = None
         #: Cost memos shared between pods driving the *same* platform
         #: object (the factory reuses one platform across a pool's
         #: clones): platform costs are pure functions of the workload
@@ -1433,10 +1390,12 @@ class ClusterSim:
         #: Keyed by ``id(platform)`` -- distinct platforms never mix.
         self._prefill_cost_caches: dict[int, dict] = {}
         self._step_caches: dict[tuple[int, str], dict] = {}
-        #: Fleet-wide prefix-residency epoch (see :meth:`_prefix_epoch`)
-        #: and the epoch at which each prefix group last changed.
+        #: Fleet-wide prefix-residency epoch: a monotone count of block
+        #: publications + reclaims, bumped in O(1) by the stores'
+        #: ``on_prefix_change`` hook.  Peeked residency is constant
+        #: while it holds still, so queue scans memoize against it and
+        #: the all-pods-busy bypass scan is skipped until it advances.
         self._fleet_epoch = 0
-        self._group_epochs: dict[tuple[str, int], int] = {}
         #: Split-placement draft platform, built once from the registry
         #: and shared by every decode pod (``None`` = no specdec, or
         #: colocated drafting on each pod's own hardware).
@@ -1495,7 +1454,6 @@ class ClusterSim:
                 # The cluster re-routes preempted requests
                 # through a prefill pod (recompute-on-resume).
                 requeue_preempted=False,
-                table=self._table,
                 draft_tokens=(
                     config.specdec.draft_kv_tokens
                     if config.specdec is not None
@@ -1773,7 +1731,7 @@ class ClusterSim:
     def _cached_now(self, job: PrefillJob, epoch: int) -> int:
         """Prefix tokens this job would be served from the cache if it
         started service now.  Peeks are memoized against ``epoch``
-        (:meth:`_prefix_epoch`): residency can only change when a block
+        (``_fleet_epoch``): residency can only change when a block
         is registered or reclaimed, so a queue scan per event does not
         re-walk every trie."""
         if job.acquired is not None:
@@ -1895,26 +1853,12 @@ class ClusterSim:
 
     def _on_prefix_change(self, model_key: str, prefix_id: int) -> None:
         """KvBlockStore hook: one prefix block was registered or
-        reclaimed somewhere in the fleet.  Bumps the O(1) fleet epoch
-        (and remembers which group moved, for per-group memo
-        invalidation) -- every store counter increment lands here, so
-        epoch equality means exactly what the old per-pod counter sum
-        meant."""
+        reclaimed somewhere in the fleet, so residency peeks are
+        stale."""
         self._fleet_epoch += 1
-        self._group_epochs[(model_key, prefix_id)] = self._fleet_epoch
-
-    def _prefix_epoch(self) -> int:
-        """Monotone counter of fleet-wide prefix-residency changes
-        (block publications + reclaims).  Peeked residency is constant
-        while it holds still, so queue scans memoize against it
-        instead of re-walking every trie at every event -- and the
-        all-pods-busy bypass scan is skipped entirely when it has not
-        advanced.  O(1): maintained by the stores'
-        ``on_prefix_change`` hook rather than summed over pods."""
-        return self._fleet_epoch
 
     # Runs after every event: under REPRO_CHECK, fingerprinting all of
-    # ``self`` (calendar, request table, every pod) per sampled call
+    # ``self`` (calendar, request records, every pod) per sampled call
     # costs far more than the run itself, so nothing is watched.  The
     # static purity lint still covers the body and the runtime
     # @mutates guard still applies.
@@ -1938,7 +1882,7 @@ class ClusterSim:
                 return False
         return (
             not self._bypass_enabled
-            or self._prefix_epoch() == self._bypass_epoch
+            or self._fleet_epoch == self._bypass_epoch
         )
 
     def _drain_prefill_queue(self, now: float) -> None:
@@ -1948,7 +1892,7 @@ class ClusterSim:
         pod is busy, since they need no pod at all."""
         # Invariant across the whole drain: pulling jobs pins blocks
         # and books pods, but never registers or reclaims trie blocks.
-        epoch = self._prefix_epoch() if self._bypass_enabled else -1
+        epoch = self._fleet_epoch if self._bypass_enabled else -1
         while not self._drain_blocked(now):
             idle = [p for p in self.prefill_pods if p.idle(now)]
             job = self._next_job(now, have_idle=bool(idle), epoch=epoch)
@@ -3035,16 +2979,12 @@ class ClusterSim:
             if self.config.trace is not None
             else None
         )
-        #: Struct-of-arrays state: one table row per request; records
-        #: are per-row views over it (duplicate ids raise in add()).
-        self._table = RequestTable(requests)
-        for pod in self.decode_pods:
-            pod.scheduler.table = self._table
-        records = [
-            RequestRecord(table=self._table, row=row)
-            for row in range(len(self._table))
-        ]
+        records = [RequestRecord(request) for request in requests]
+        #: Scheduler entries resolve to their record by request id, and
+        #: pinned prefixes and block-store leases are keyed by it too.
         self._records_by_id = {r.request.request_id: r for r in records}
+        if len(self._records_by_id) != len(records):
+            raise ValueError("request_ids must be unique within one run")
         #: Requests not yet completed, rejected or shed -- the
         #: autoscaler's tick stops re-arming when this hits zero so the
         #: control loop cannot outlive the workload.
@@ -3144,7 +3084,6 @@ class ClusterSim:
             shed=tuple(r for r in records if r.shed),
             tenants=self.config.tenants,
             scaling_events=tuple(self._scaling_events),
-            table=self._table,
             trace=trace,
             timeline=timeline,
         )

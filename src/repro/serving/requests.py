@@ -177,142 +177,13 @@ class Request:
         )
 
 
-#: Mutable lifecycle columns of :class:`RequestTable` -- one entry per
-#: field of :class:`~repro.serving.cluster.RequestRecord`, which is a
-#: per-row *view* over these arrays.
-LIFECYCLE_COLUMNS = (
-    "rejected",
-    "shed",
-    "prefill_pod",
-    "decode_pod",
-    "prefill_start_s",
-    "prefill_end_s",
-    "transfer_end_s",
-    "admitted_s",
-    "first_token_s",
-    "completed_s",
-    "num_preemptions",
-    "group_inflight",
-    "num_swaps",
-    "cached_prefix_tokens",
-    "resume_tokens",
-    "queue_wait_s",
-)
-
-#: (initial value, ...) per lifecycle column, in LIFECYCLE_COLUMNS order.
-_LIFECYCLE_DEFAULTS = (
-    False, False, "", "", 0.0, 0.0, 0.0, 0.0, None, None,
-    0, False, 0, 0, 0, 0.0,
-)
-
-
-class RequestTable:
-    """Struct-of-arrays store for per-request simulation state.
-
-    One run's requests live here as parallel columns instead of a list
-    of per-request objects: immutable scalars interned from each
-    :class:`Request` (arrival, lengths, priority, tenant index) plus
-    the mutable lifecycle fields the simulator stamps (pods,
-    per-stage timestamps, preemption/swap tallies).  Columnar layout is
-    what the accounting layer vectorizes over -- a percentile pass
-    reads one contiguous list, not ten thousand attribute chains -- and
-    the scheduler's policy keys index straight into the interned
-    columns.
-
-    :class:`~repro.serving.cluster.RequestRecord` stays the public
-    face: each is a ``(table, row)`` view whose attributes read and
-    write these columns, so existing call sites and reports are
-    untouched.
-
-    Tenants are interned: ``tenant_id`` holds an index into
-    ``tenant_names``, and :meth:`tenant_rows` gives the per-tenant row
-    partition the tenant reports group by (computed in one pass).
-    """
-
-    __slots__ = (
-        "requests",
-        "arrival_s",
-        "prompt_len",
-        "decode_len",
-        "priority",
-        "tenant_id",
-        "tenant_names",
-        "_tenant_ids",
-        "_row_by_id",
-    ) + LIFECYCLE_COLUMNS
-
-    def __init__(self, requests: Iterable[Request] = ()) -> None:
-        self.requests: list[Request] = []
-        # Interned from Request (immutable once added).
-        self.arrival_s: list[float] = []
-        self.prompt_len: list[int] = []
-        self.decode_len: list[int] = []
-        self.priority: list[int] = []
-        self.tenant_id: list[int] = []
-        self.tenant_names: list[str] = []
-        self._tenant_ids: dict[str, int] = {}
-        self._row_by_id: dict[int, int] = {}
-        for name, default in zip(LIFECYCLE_COLUMNS, _LIFECYCLE_DEFAULTS):
-            setattr(self, name, [])
-            del default  # defaults are applied per-row in add()
-        for request in requests:
-            self.add(request)
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def add(self, request: Request) -> int:
-        """Intern ``request``; returns its row index.
-
-        Request ids key the row lookup (hand-off events and pinned
-        prefix blocks resolve through them), so they must be unique
-        within one table.
-        """
-        if request.request_id in self._row_by_id:
-            raise ValueError("request_ids must be unique within one run")
-        row = len(self.requests)
-        self._row_by_id[request.request_id] = row
-        self.requests.append(request)
-        self.arrival_s.append(request.arrival_s)
-        self.prompt_len.append(request.prompt_len)
-        self.decode_len.append(request.decode_len)
-        self.priority.append(request.priority)
-        tenant = request.tenant
-        tenant_id = self._tenant_ids.get(tenant)
-        if tenant_id is None:
-            tenant_id = len(self.tenant_names)
-            self._tenant_ids[tenant] = tenant_id
-            self.tenant_names.append(tenant)
-        self.tenant_id.append(tenant_id)
-        for name, default in zip(LIFECYCLE_COLUMNS, _LIFECYCLE_DEFAULTS):
-            getattr(self, name).append(default)
-        return row
-
-    def row_of(self, request_id: int) -> int:
-        """Row index of the request with ``request_id`` (KeyError if
-        absent)."""
-        return self._row_by_id[request_id]
-
-    def tenant_of(self, row: int) -> str:
-        return self.tenant_names[self.tenant_id[row]]
-
-    def tenant_rows(self) -> dict[str, list[int]]:
-        """Per-tenant partition of all rows, one pass, keyed by tenant
-        name (insertion order follows first appearance)."""
-        parts: dict[str, list[int]] = {name: [] for name in self.tenant_names}
-        names = self.tenant_names
-        for row, tid in enumerate(self.tenant_id):
-            parts[names[tid]].append(row)
-        return parts
-
-
 def sibling_ttft_mean(records: Iterable, founders: set[int]) -> float:
     """Mean TTFT over completed *sibling* records: shared-prefix
     requests that are not their group's founder (see
     :func:`prefix_founders`).
 
     ``records`` are completed
-    :class:`~repro.serving.cluster.RequestRecord` rows (anything with
+    :class:`~repro.serving.cluster.RequestRecord` objects (anything with
     ``.request`` and ``.ttft_s``).  Siblings are the requests a
     late-binding prefix cache serves from resident blocks, so their
     TTFT isolates the benefit.  Returns 0.0 with no siblings.

@@ -60,7 +60,7 @@ from repro.models.dtypes import DType
 from repro.models.kv_cache import kv_bytes_per_token, kv_cache_bytes
 from repro.serving.contracts import mutates, pure_probe
 from repro.serving.kvstore import KvBlockStore
-from repro.serving.requests import Request, RequestTable
+from repro.serving.requests import Request
 
 #: Slack for float-dust comparisons against the KV budget (bytes).
 _EPS_BYTES = 1e-3
@@ -116,10 +116,6 @@ class QueuedRequest:
     #: instead of being freed (resume pays the link, not a re-prefill).
     swapped: bool = False
     swap_bytes: float = 0.0
-    #: Row in the run's :class:`~repro.serving.requests.RequestTable`
-    #: (-1 for standalone schedulers without a table); policy sort keys
-    #: index the table's interned columns through it.
-    row: int = -1
 
     @property
     def resume_context(self) -> int:
@@ -152,9 +148,6 @@ class ActiveRequest:
     #: Tool-call pauses of ``request.tool_pauses`` already taken (parked
     #: or consumed by a resume past their position).
     pauses_taken: int = 0
-    #: Row in the run's :class:`~repro.serving.requests.RequestTable`
-    #: (-1 for standalone schedulers without a table).
-    row: int = -1
 
     @property
     def remaining_tokens(self) -> int:
@@ -225,11 +218,6 @@ class ContinuousBatchScheduler:
     #: Should this preemption victim swap to host instead of recompute?
     #: ``None`` never swaps (the pre-swap behavior).
     swap_decider: Callable[[ActiveRequest], bool] | None = None
-    #: The run's struct-of-arrays request state (set by the cluster);
-    #: when present, queue entries carry their table row and policy
-    #: keys read the interned columns instead of chasing ``.request``
-    #: attribute chains.  ``None`` for standalone use.
-    table: RequestTable | None = None
     #: Speculative-decoding KV headroom (tokens): every paged sequence
     #: is charged this many extra tokens of block capacity for
     #: speculated-but-unverified draft tokens (set by the cluster from
@@ -371,15 +359,9 @@ class ContinuousBatchScheduler:
                 f"{needed / 1e9:.1f} GB KV, pod budget "
                 f"is {self.kv_budget_bytes / 1e9:.1f} GB"
             )
-        row = (
-            self.table.row_of(request.request_id)
-            if self.table is not None
-            else -1
-        )
         self.queue.append(
             QueuedRequest(now, request, needs_prefill=needs_prefill,
-                          preemptions=preemptions, tokens_done=tokens_done,
-                          row=row)
+                          preemptions=preemptions, tokens_done=tokens_done)
         )
         self.owed_tokens += request.decode_len - tokens_done
 
@@ -472,15 +454,9 @@ class ContinuousBatchScheduler:
         boundary).  Returns the newly admitted requests."""
         admitted: list[ActiveRequest] = []
         if self.policy is Policy.SJF:
-            if self.table is not None:
-                decode_len = self.table.decode_len
-                self.queue.sort(
-                    key=lambda q: (decode_len[q.row] - q.tokens_done, q.arrival_s)
-                )
-            else:
-                self.queue.sort(
-                    key=lambda q: (q.request.decode_len - q.tokens_done, q.arrival_s)
-                )
+            self.queue.sort(
+                key=lambda q: (q.request.decode_len - q.tokens_done, q.arrival_s)
+            )
         while self.queue:
             index = 0
             if not self._admissible(self.queue[index]):
@@ -567,7 +543,6 @@ class ContinuousBatchScheduler:
             pauses_taken=sum(
                 1 for at, _ in request.tool_pauses if at <= queued.tokens_done
             ),
-            row=queued.row,
         )
         self.store.admit(request.request_id, reserved, blocks, bytes_per_block)
         self.active.append(entry)
@@ -633,7 +608,6 @@ class ContinuousBatchScheduler:
             preemptions=entry.preemptions + 1,
             tokens_done=entry.tokens_done,
             swapped=swapped, swap_bytes=swap_bytes,
-            row=entry.row,
         )
         if self.requeue_preempted:
             # Resume-first: recompute locally ahead of fresh arrivals.
@@ -705,7 +679,6 @@ class ContinuousBatchScheduler:
                 preemptions=entry.preemptions,
                 tokens_done=entry.tokens_done,
                 swapped=True, swap_bytes=swap_bytes,
-                row=entry.row,
             )
             # Like a preemption hand-back: its owed tokens leave this
             # pod until the swap-back re-enqueues them.

@@ -1,11 +1,12 @@
 """``simlint``: an AST-based checker for this repo's simulator invariants.
 
-The serving stack's performance story (the bulk quiet-decode fast lane,
-the numpy stats leg) rests on invariants ordinary linters cannot see:
-probe functions must be side-effect-free, all randomness must be
-seeded, events may not be scheduled into the past, float comparisons
-must not silently diverge the fast and slow paths, and numpy must stay
-optional.  ``simlint`` enforces them mechanically::
+The serving stack's performance story (the bulk quiet-decode fast
+lane) rests on invariants ordinary linters cannot see: probe functions
+must be side-effect-free, all randomness must be seeded, events may not
+be scheduled into the past, and float comparisons must not silently
+diverge the fast and slow paths.  Numpy must also stay optional: only
+the ``quant`` and ``vmm`` models use it, and the rest of the tree runs
+without it.  ``simlint`` enforces them mechanically::
 
     python -m repro.staticcheck src/
 

@@ -12,8 +12,8 @@ Suppression follows the usual linter idiom, scoped to this tool:
   inline comment -- silences that checker there (a reason is required;
   the pragma is an audited exemption, not an off switch).
 * ``# simlint: module-ok[<checker>] <reason>`` anywhere in the file
-  silences the checker for the whole module (used e.g. by
-  ``repro.util.profiling``, whose entire purpose is wall-clock timing).
+  silences the checker for the whole module (used e.g. by the
+  numpy-native ``repro.quant`` codecs).
 """
 
 from __future__ import annotations

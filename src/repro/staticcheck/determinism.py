@@ -4,8 +4,7 @@ Flags, anywhere in ``src/repro``:
 
 * wall-clock reads -- ``time.time``/``time.time_ns``/``time.monotonic``/
   ``time.perf_counter``, ``datetime.now``/``utcnow``/``today``,
-  ``date.today`` (``repro.util.profiling`` opts out with a module
-  pragma: measuring wall time is its whole job);
+  ``date.today``;
 * module-level RNG (``random.random()``, ``random.randint`` and
   friends) and **unseeded** ``Random()`` construction -- all randomness
   must flow through an explicitly seeded ``random.Random(seed)``;

@@ -1,6 +1,6 @@
 """simlint checker: numpy must stay an *optional* accelerator.
 
-``repro.util.stats`` established the pattern the whole tree follows::
+Every optional numpy use in the tree follows one pattern::
 
     try:
         import numpy as _np

@@ -1,39 +1,13 @@
 """Small statistics helpers for fleet-level SLO reporting.
 
-The sort -- the only O(n log n) part of a percentile -- is delegated to
-numpy when it is importable (set ``REPRO_NO_NUMPY=1`` to force the pure
-fallback; CI runs both legs).  Only the *ordering* runs through numpy:
-sorting is arithmetic-free, so the two paths return bit-identical
-floats, and the interpolation itself always runs in scalar Python --
-report digests cannot depend on which leg produced them.
+Everything here is scalar Python: report digests pin these floats, so
+they must not depend on an optional dependency or on the interpreter's
+``sum()``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Sequence
-
-try:  # optional acceleration; never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-    _np = None
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-
-#: Below this, list overhead beats numpy's conversion round-trip.
-_NUMPY_SORT_MIN = 64
-
-
-def sort_values(values: Sequence[float]) -> list[float]:
-    """``sorted(values)`` with large inputs routed through ``np.sort``.
-
-    The numpy round-trip (``asarray`` -> sort -> ``tolist``) performs no
-    arithmetic, so the result is element-for-element identical to the
-    pure path -- it is an acceleration, not an approximation.
-    """
-    if _np is not None and len(values) >= _NUMPY_SORT_MIN:
-        return _np.sort(_np.asarray(values, dtype=float)).tolist()
-    return sorted(values)
 
 
 def percentiles(
@@ -55,7 +29,7 @@ def percentiles(
             raise ValueError(f"q must be in [0, 100], got {q}")
     if not values:
         return [0.0] * len(qs)
-    ordered = values if presorted else sort_values(values)
+    ordered = values if presorted else sorted(values)
     n = len(ordered)
     if n == 1:
         return [ordered[0]] * len(qs)

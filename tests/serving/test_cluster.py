@@ -15,12 +15,14 @@ from repro.serving.cluster import (
     ClusterSim,
     DecodePodSpec,
     PrefillPolicy,
+    RequestRecord,
     SimulationStalled,
     disaggregated_cluster,
     gpu_only_cluster,
     simulate,
 )
 from repro.serving.disaggregated import DisaggregatedSystem
+from repro.serving.engine import report_digest
 from repro.serving.requests import (
     Request,
     RequestGenerator,
@@ -121,6 +123,124 @@ class TestConservationAndDeterminism:
         report = simulate(config, [huge, small])
         assert [r.request.request_id for r in report.rejected] == [0]
         assert [r.request.request_id for r in report.completed] == [1]
+
+    def test_duplicate_request_id_rejected(self):
+        """Records, pinned prefixes and block-store leases are keyed by
+        request id, so a run refuses a shared id before any event."""
+        first = Request(3, 0.0, LLAMA3_8B, prompt_len=256, decode_len=64)
+        twin = Request(3, 1.0, LLAMA3_8B, prompt_len=128, decode_len=32)
+        with pytest.raises(ValueError, match="unique"):
+            simulate(single_pod_config(LLAMA3_8B), [first, twin])
+        sim = ClusterSim(single_pod_config(LLAMA3_8B))
+        with pytest.raises(ValueError, match="unique"):
+            sim.run([first, twin])
+        assert len(sim._calendar) == 0
+
+    def test_refused_run_leaves_sim_reusable(self):
+        """The uniqueness check fires before any state is stamped: the
+        same simulator then runs valid traffic exactly like a fresh one."""
+        config = single_pod_config(LLAMA3_8B)
+        sim = ClusterSim(config)
+        with pytest.raises(ValueError, match="unique"):
+            sim.run([
+                Request(i % 2, 0.1 * i, LLAMA3_8B, prompt_len=256, decode_len=32)
+                for i in range(3)
+            ])
+        requests = [
+            Request(i, 0.1 * i, LLAMA3_8B, prompt_len=256, decode_len=32)
+            for i in range(3)
+        ]
+        assert report_digest(sim.run(requests)) == report_digest(
+            simulate(config, requests)
+        )
+
+    def test_request_ids_are_keys_not_positions(self):
+        """Sparse ids submitted out of arrival order each keep their own
+        record, and relabelling the ids changes no timing."""
+        shape = ((0.5, 256, 48), (0.0, 512, 32), (0.25, 128, 64))
+        config = single_pod_config(LLAMA3_8B)
+
+        def run(ids):
+            requests = [
+                Request(rid, arrival, LLAMA3_8B, prompt_len=p, decode_len=d)
+                for rid, (arrival, p, d) in zip(ids, shape)
+            ]
+            report = simulate(config, requests)
+            by_id = {r.request.request_id: r for r in report.completed}
+            assert sorted(by_id) == sorted(ids)
+            for request in requests:
+                assert by_id[request.request_id].request is request
+            return [
+                (by_id[rid].first_token_s, by_id[rid].completed_s) for rid in ids
+            ]
+
+        assert run((40, 7, 1000)) == run((0, 1, 2))
+
+
+class TestRequestRecord:
+    """Per-request lifecycle state is one plain ``__slots__`` object
+    per request; the report reads its fields directly."""
+
+    def record(self, decode_len=64, arrival=2.0):
+        return RequestRecord(
+            Request(0, arrival, LLAMA3_8B, prompt_len=256, decode_len=decode_len)
+        )
+
+    def test_fresh_record_defaults(self):
+        record = self.record()
+        assert record.request.request_id == 0
+        assert (record.rejected, record.shed, record.group_inflight) == (
+            False, False, False
+        )
+        assert (record.prefill_pod, record.decode_pod) == ("", "")
+        assert (
+            record.prefill_start_s,
+            record.prefill_end_s,
+            record.transfer_end_s,
+            record.admitted_s,
+            record.queue_wait_s,
+        ) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert record.first_token_s is None and record.completed_s is None
+        assert not record.done
+        assert (
+            record.num_preemptions,
+            record.num_swaps,
+            record.cached_prefix_tokens,
+            record.resume_tokens,
+        ) == (0, 0, 0, 0)
+
+    def test_slots_refuse_unknown_fields(self):
+        """A misspelt lifecycle field raises instead of silently
+        creating a new attribute the report never reads."""
+        record = self.record()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.first_token = 1.0
+
+    def test_records_hold_independent_state(self):
+        request = Request(5, 0.0, LLAMA3_8B, prompt_len=256, decode_len=64)
+        a, b = RequestRecord(request), RequestRecord(request)
+        a.num_preemptions += 2
+        a.first_token_s = 3.0
+        a.decode_pod = "decode0"
+        assert a.request is b.request
+        assert b.num_preemptions == 0
+        assert b.first_token_s is None
+        assert b.decode_pod == ""
+
+    def test_latency_metrics_follow_timestamps(self):
+        record = self.record(decode_len=5, arrival=2.0)
+        record.first_token_s = 2.5
+        record.completed_s = 4.5
+        record.queue_wait_s = 0.125
+        assert record.done
+        assert record.ttft_s == 0.5
+        assert record.tpot_s == 0.5  # 2.0 s over the 4 tokens after the first
+        assert record.end_to_end_s == 2.5
+        assert record.queueing_delay_s == 0.125
+        single = self.record(decode_len=1)
+        single.first_token_s = single.completed_s = 3.0
+        assert single.tpot_s == 0.0
 
 
 class TestLiveness:
@@ -474,7 +594,7 @@ class TestAllShedReport:
         hand-build).  Every guarded denominator must report its
         sentinel, not raise."""
         report = dataclasses.replace(
-            starved_run, completed=(), table=None, _memo={}
+            starved_run, completed=(), _memo={}
         )
         assert not report.completed
         assert report.shed
@@ -493,7 +613,7 @@ class TestAllShedReport:
         import json
 
         report = dataclasses.replace(
-            starved_run, completed=(), table=None, _memo={}
+            starved_run, completed=(), _memo={}
         )
         payload = json.dumps(report.to_json())
         decoded = json.loads(payload)

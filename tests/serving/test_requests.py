@@ -4,11 +4,9 @@ import pytest
 
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.serving.requests import (
-    LIFECYCLE_COLUMNS,
     ArrivalProcess,
     Request,
     RequestGenerator,
-    RequestTable,
     TrafficClass,
     reasoning_traffic,
     truncated_lognormal_mean,
@@ -257,48 +255,6 @@ class TestValidation:
             make_generator(rate_rps=0.0)
         with pytest.raises(ValueError):
             make_generator().generate(0.0)
-
-
-class TestRequestTable:
-    """The struct-of-arrays request store the cluster simulator keeps
-    its per-request lifecycle state in."""
-
-    def request(self, request_id, tenant="", arrival=0.0):
-        return Request(request_id, arrival, LLAMA3_8B, 128, 64, tenant=tenant)
-
-    def test_columns_intern_request_scalars(self):
-        table = RequestTable()
-        row = table.add(self.request(7, tenant="agentic", arrival=1.5))
-        assert row == 0 and len(table) == 1
-        assert table.arrival_s == [1.5]
-        assert table.prompt_len == [128] and table.decode_len == [64]
-        assert table.tenant_of(row) == "agentic"
-        assert table.row_of(7) == 0
-        # Every lifecycle column grew in lockstep with the row.
-        for name in LIFECYCLE_COLUMNS:
-            assert len(getattr(table, name)) == 1
-
-    def test_duplicate_request_id_rejected(self):
-        table = RequestTable([self.request(1)])
-        with pytest.raises(ValueError):
-            table.add(self.request(1))
-
-    def test_tenants_are_interned(self):
-        table = RequestTable(
-            [self.request(i, tenant=t)
-             for i, t in enumerate(("a", "b", "a", "", "b"))]
-        )
-        assert table.tenant_names == ["a", "b", ""]
-        assert table.tenant_id == [0, 1, 0, 2, 1]
-
-    def test_tenant_rows_partitions_every_row_once(self):
-        table = RequestTable(
-            [self.request(i, tenant=t)
-             for i, t in enumerate(("a", "b", "a", "", "b"))]
-        )
-        parts = table.tenant_rows()
-        assert parts == {"a": [0, 2], "b": [1, 4], "": [3]}
-        assert sorted(r for rows in parts.values() for r in rows) == [0, 1, 2, 3, 4]
 
 
 class TestReasoningTraffic:

@@ -119,6 +119,29 @@ class TestPolicies:
         assert lengths == sorted(lengths)
         assert lengths[0] == min(r.decode_len for r in requests)
 
+    def test_sjf_ranks_resumes_by_remaining_decode(self):
+        """A resumed job is as short as the tokens it still owes, not
+        its full decode length."""
+        scheduler = ContinuousBatchScheduler(
+            kv_budget_bytes=2000 * GB, max_batch=1, policy=Policy.SJF
+        )
+        scheduler.enqueue(make_request(0, decode_len=100), 0.0)
+        scheduler.enqueue(
+            make_request(1, decode_len=1000), 0.0, tokens_done=990
+        )
+        (first,) = scheduler.admit(0.0)
+        assert first.request.request_id == 1
+        assert first.remaining_tokens == 10
+
+    def test_sjf_breaks_ties_by_arrival(self):
+        scheduler = ContinuousBatchScheduler(
+            kv_budget_bytes=2000 * GB, max_batch=3, policy=Policy.SJF
+        )
+        for request_id, now in ((0, 0.3), (1, 0.1), (2, 0.2)):
+            scheduler.enqueue(make_request(request_id, decode_len=64), now)
+        admitted = [e.request.request_id for e in scheduler.admit(0.3)]
+        assert admitted == [1, 2, 0]
+
     def test_fifo_head_blocks_queue(self):
         big = make_request(0, prompt_len=8192, decode_len=4096)
         small = make_request(1, prompt_len=64, decode_len=16)

@@ -111,33 +111,7 @@ class TestPareto:
 
 
 class TestStats:
-    """Percentile/sort helpers: the numpy-accelerated and pure-Python
-    legs must return bit-identical floats (report digests pin them)."""
-
-    def both_legs(self, fn):
-        """Run ``fn()`` with numpy enabled (when importable) and with
-        the pure fallback forced; returns the list of results."""
-        import repro.util.stats as stats
-
-        results = [fn()]
-        saved = stats._np
-        stats._np = None
-        try:
-            results.append(fn())
-        finally:
-            stats._np = saved
-        return results
-
-    def test_sort_values_matches_sorted_on_both_legs(self):
-        import random
-
-        from repro.util.stats import sort_values
-
-        rng = random.Random(5)
-        values = [rng.uniform(-1e9, 1e9) for _ in range(500)]
-        expected = sorted(values)
-        for got in self.both_legs(lambda: sort_values(values)):
-            assert got == expected
+    """Percentile/mean helpers: report digests pin these floats."""
 
     def test_percentiles_single_sort_matches_per_quantile(self):
         import random
@@ -147,10 +121,10 @@ class TestStats:
         rng = random.Random(9)
         values = [rng.expovariate(1.0) for _ in range(257)]
         qs = (0.0, 25.0, 50.0, 95.0, 99.0, 100.0)
-        for batch in self.both_legs(lambda: percentiles(values, qs)):
-            assert batch == [percentile(values, q) for q in qs]
-            assert batch == sorted(batch)
-            assert batch[0] == min(values) and batch[-1] == max(values)
+        batch = percentiles(values, qs)
+        assert batch == [percentile(values, q) for q in qs]
+        assert batch == sorted(batch)
+        assert batch[0] == min(values) and batch[-1] == max(values)
 
     def test_percentile_interpolation_and_presorted(self):
         from repro.util.stats import percentile
@@ -159,6 +133,35 @@ class TestStats:
         assert percentile(values, 50) == 25.0  # linear interpolation
         assert percentile([40.0, 10.0, 30.0, 20.0], 50) == 25.0
         assert percentile(values, 50, presorted=True) == 25.0
+
+    def test_percentiles_match_reference_interpolation(self):
+        """Closest ranks weighted by the fractional rank, bit-for-bit,
+        on an input large enough to have taken the old numpy sort."""
+        import random
+
+        from repro.util.stats import percentiles
+
+        rng = random.Random(21)
+        values = [rng.uniform(-1e9, 1e9) for _ in range(500)]
+        qs = (0.0, 1.0, 33.3, 50.0, 90.0, 99.9, 100.0)
+        ordered = sorted(values)
+        expected = []
+        for q in qs:
+            rank = (len(ordered) - 1) * q / 100.0
+            lo = int(rank)
+            hi = min(lo + 1, len(ordered) - 1)
+            frac = rank - lo
+            expected.append(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
+        assert percentiles(values, qs) == expected
+
+    def test_percentiles_leave_input_unmodified(self):
+        from repro.util.stats import percentiles
+
+        values = [3.0, 1.0, 2.0, 5.0, 4.0]
+        snapshot = list(values)
+        assert percentiles(values, (50.0,)) == [3.0]
+        assert values == snapshot
+        assert percentiles(tuple(values), (0.0, 100.0)) == [1.0, 5.0]
 
     def test_edge_cases(self):
         from repro.util.stats import mean, percentile, percentiles
@@ -182,67 +185,3 @@ class TestStats:
         assert left_sum(iter(values)) == 0.0
         assert mean(values) == 0.0
         assert left_sum([]) == 0
-
-
-class TestProfiling:
-    def test_timer_context_manager(self):
-        import time
-
-        from repro.util.profiling import Timer
-
-        with Timer("spin") as t:
-            time.sleep(0.01)
-            assert t.elapsed_s > 0.0  # live while running
-        frozen = t.elapsed_s
-        assert frozen >= 0.01
-        assert t.elapsed_s == frozen  # frozen at exit
-        assert "spin" in str(t)
-
-    def test_timer_reenter_restarts(self):
-        from repro.util.profiling import Timer
-
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed_s
-        with t:
-            pass
-        assert t.elapsed_s <= first + 1.0  # restarted, not accumulated
-        assert str(t).startswith("timer:")
-
-    def test_profile_call_returns_value_and_stats(self):
-        from repro.util.profiling import profile_call
-
-        result = profile_call(sorted, [3, 1, 2], reverse=True)
-        assert result.value == [3, 2, 1]
-        assert result.elapsed_s >= 0.0
-        assert "function calls" in result.stats_text
-        assert str(result) == result.stats_text
-
-    def test_profile_call_structured_frames(self):
-        from repro.util.profiling import profile_call
-
-        def work():
-            return sum(sorted(range(1000), reverse=True))
-
-        result = profile_call(work, top=5)
-        assert result.value == sum(range(1000))
-        assert 0 < len(result.frames) <= 5
-        cumtimes = [f.cumtime_s for f in result.frames]
-        assert cumtimes == sorted(cumtimes, reverse=True)
-        for frame in result.frames:
-            assert frame.ncalls >= frame.primitive_calls >= 1
-            assert frame.tottime_s <= frame.cumtime_s + 1e-12
-            assert frame.function
-        rendered = result.table().render()
-        assert "cumtime (s)" in rendered
-        assert result.frames[0].location in rendered
-
-    def test_profile_call_propagates_exceptions(self):
-        from repro.util.profiling import profile_call
-
-        def boom():
-            raise RuntimeError("no")
-
-        with pytest.raises(RuntimeError):
-            profile_call(boom)
