@@ -11,14 +11,9 @@ Run:  python examples/paged_vs_reserved.py
 """
 
 from repro.analysis.cluster_sweep import reservation_sweep
+from repro.api import PodGroup, Scenario
 from repro.models import LLAMA3_70B
-from repro.serving import (
-    RequestGenerator,
-    Reservation,
-    disaggregated_cluster,
-    reasoning_traffic,
-    simulate,
-)
+from repro.serving import RequestGenerator, Reservation, reasoning_traffic
 
 KV_BUDGET_GB = 3.0
 
@@ -34,13 +29,13 @@ def main() -> None:
     )
 
     for reservation in (Reservation.FULL, Reservation.PAGED):
-        fleet = disaggregated_cluster(
+        fleet = Scenario(
             LLAMA3_70B,
-            num_decode_pods=1,
+            decode=(PodGroup("rpu"),),
             reservation=reservation,
             kv_budget_bytes=KV_BUDGET_GB * 1e9,
         )
-        report = simulate(fleet, requests)
+        report = fleet.run(requests)
         print(report.summary_table(f"{reservation.value.upper()} reservation"))
         print()
 

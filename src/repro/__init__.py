@@ -56,8 +56,6 @@ from repro.serving import (
     SloClass,
     SwapPolicy,
     TenantSpec,
-    disaggregated_cluster,
-    gpu_only_cluster,
     simulate,
 )
 from repro.api import (
@@ -95,9 +93,7 @@ __all__ = [
     "TraceConfig",
     "TrafficSpec",
     "Workload",
-    "disaggregated_cluster",
     "get_model",
-    "gpu_only_cluster",
     "register_scenario",
     "scenario",
     "scenario_names",

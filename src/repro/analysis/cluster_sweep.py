@@ -93,7 +93,8 @@ def sweep(base: Scenario, *axes: Sequence[Mapping[str, object]]) -> Rows:
     """Run ``base`` at every point of the product of ``axes``.
 
     Every point is built before the first one simulates, so a misspelt
-    field raises ``TypeError`` (naming it) up front.
+    field raises ``TypeError`` (naming it) up front, and an incoherent
+    knob value raises the ``ValueError`` that names its field.
     """
     points = [_apply(base, combo) for combo in itertools.product(*axes)]
     rows: Rows = []

@@ -45,22 +45,20 @@ or flash-crowd shape) instead of the Poisson/bursty samplers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, fields, replace
 from collections.abc import Callable, Mapping
 
 from repro.models.config import ModelConfig
-from repro.models.dtypes import DType
 from repro.models.workload import Workload
-from repro.obs import TraceConfig
 from repro.platform import Platform, build_platform
 from repro.serving.cluster import (
     ClusterConfig,
     ClusterReport,
     DecodePodSpec,
     PrefillPolicy,
+    ServingOptions,
     simulate,
 )
-from repro.serving.disaggregated import INTERACTION_THRESHOLD_S
 from repro.serving.kvstore import SwapPolicy
 from repro.serving.requests import (
     ArrivalProcess,
@@ -70,15 +68,13 @@ from repro.serving.requests import (
     TrafficClass,
     merge_requests,
 )
-from repro.serving.scheduler import Policy, Reservation
-from repro.specdec import SpecDecConfig
+from repro.serving.scheduler import Policy
 from repro.serving.tenancy import (
     BATCH,
     INTERACTIVE,
     STANDARD,
     AdmissionConfig,
     AutoscalerConfig,
-    CostModel,
     TenantSpec,
 )
 from repro.util.tables import Table
@@ -274,72 +270,36 @@ class PodGroup:
 # Scenario
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(ServingOptions):
     """One declarative serving experiment.
 
     ``run()`` generates the (seeded, replayable) traffic, builds the
     fleet from the pod groups, simulates, and returns the SLO report.
+    The serving knobs (policies, KV reservation, SLO, caching and swap,
+    admission and autoscaling, specdec, tracing) are the
+    :class:`ServingOptions` fields, passed by keyword and checked when
+    the scenario is built.
     """
 
     model: ModelConfig
     traffic: TrafficSpec = TrafficSpec()
     prefill: tuple[PodGroup, ...] = (PodGroup("gpu", count=2),)
     decode: tuple[PodGroup, ...] = (PodGroup("rpu", count=2),)
-    #: Interactive SLO (``float("inf")`` scores pure throughput runs).
-    slo_s: float = INTERACTION_THRESHOLD_S
-    policy: Policy = Policy.FIFO
-    #: Shared prefill service queue: drain order, whether prefix-cache
-    #: hits bind at service start (late binding, the default) or at
-    #: arrival (the ablation baseline), plus the PREFIX_AFFINE deferral
-    #: window and PRIORITY aging rate.
-    prefill_policy: PrefillPolicy = PrefillPolicy.FIFO
-    late_binding: bool = True
-    affine_defer_s: float = 2.0
-    affine_adaptive: bool = True
-    prefill_aging_s: float = 10.0
-    max_batch: int = 128
-    weight_dtype: DType = DType.MXFP4
-    kv_dtype: DType = DType.FP8
-    reservation: Reservation = Reservation.PAGED
-    block_tokens: int = 128
-    chunk_tokens: int = 512
-    kv_budget_bytes: float | None = None
-    #: KV cache hierarchy (see :mod:`repro.serving.kvstore`):
-    #: cross-request prefix caching on decode pods, and what preemption
-    #: does with a victim's KV (recompute / swap-to-host / cost model).
-    prefix_caching: bool = False
-    swap_policy: SwapPolicy = SwapPolicy.NEVER
-    host_kv_bytes: float | None = None
-    swap_bytes_per_s: float | None = None
+    _: KW_ONLY
     #: Colocated fleets (decode shares the prefill box) pay no KV
     #: hand-off; disaggregated fleets pay each decode platform's
     #: ingest rate.
     colocated: bool = False
-    #: Fleet operations (see :mod:`repro.serving.tenancy`): load
-    #: shedding, the autoscaler control loop, and $/pod-hour pricing.
-    #: All default off/static -- the single-tenant path is unchanged.
-    admission: AdmissionConfig = AdmissionConfig()
-    autoscaler: AutoscalerConfig | None = None
-    cost_model: CostModel = CostModel()
-    #: Fleet-wide speculative decoding (see
-    #: :class:`repro.specdec.SpecDecConfig`): every decode pod runs
-    #: draft/verify speculation, optionally with split draft placement.
-    #: ``None`` (the default) leaves decode costs untouched.
-    specdec: SpecDecConfig | None = None
     #: Representative workload the pod builders size memory SKUs and
     #: ISO-TDP scale against.
     sizing_batch: int = 32
     sizing_seq_len: int = 8192
-    #: Opt-in observability (see :mod:`repro.obs`): pass a
-    #: ``TraceConfig()`` to get ``report.trace`` (Chrome-trace export)
-    #: and ``report.timeline`` (gauge/counter series).  ``None``
-    #: records nothing; traced runs are digest-identical to untraced.
-    trace: TraceConfig | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
         if not self.prefill or not self.decode:
             raise ValueError("scenario needs at least one pod group per role")
+        super().__post_init__()
 
     # -- construction --------------------------------------------------
     def sizing_workload(self) -> Workload:
@@ -359,33 +319,11 @@ class Scenario:
             for pod in group.build(sizing)
         )
         return ClusterConfig(
-            prefill_engines=prefill,
-            decode_pods=decode,
-            policy=self.policy,
-            prefill_policy=self.prefill_policy,
-            late_binding=self.late_binding,
-            affine_defer_s=self.affine_defer_s,
-            affine_adaptive=self.affine_adaptive,
-            prefill_aging_s=self.prefill_aging_s,
-            max_batch=self.max_batch,
-            weight_dtype=self.weight_dtype,
-            kv_dtype=self.kv_dtype,
+            prefill,
+            decode,
             kv_transfer_bytes_per_s=float("inf") if self.colocated else None,
-            reservation=self.reservation,
-            block_tokens=self.block_tokens,
-            chunk_tokens=self.chunk_tokens,
-            kv_budget_bytes=self.kv_budget_bytes,
-            slo_s=self.slo_s,
-            prefix_caching=self.prefix_caching,
-            swap_policy=self.swap_policy,
-            host_kv_bytes=self.host_kv_bytes,
-            swap_bytes_per_s=self.swap_bytes_per_s,
             tenants=self.traffic.tenants,
-            admission=self.admission,
-            autoscaler=self.autoscaler,
-            cost_model=self.cost_model,
-            specdec=self.specdec,
-            trace=self.trace,
+            **{f.name: getattr(self, f.name) for f in fields(ServingOptions)},
         )
 
     def requests(self) -> list[Request]:
@@ -663,7 +601,7 @@ def comparison_table(
             f"{report.ttft_percentile(50):.2f}" if report.completed else "n/a"
         )
         table.add_row([
-            entry.name or f"scenario-{scenarios.index(entry)}",
+            entry.name or f"scenario-{index}",
             f"{len(report.completed)}/{report.num_submitted}",
             f"{report.goodput:.0%}",
             f"{report.arrival_window_tokens_per_s:,.0f}",

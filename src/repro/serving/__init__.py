@@ -32,9 +32,8 @@ from repro.serving.cluster import (
     DecodePodSpec,
     PrefillPolicy,
     PrefillQueueStats,
+    ServingOptions,
     SimulationStalled,
-    disaggregated_cluster,
-    gpu_only_cluster,
     simulate,
 )
 from repro.serving.disaggregated import (
@@ -121,11 +120,10 @@ __all__ = [
     "Request",
     "RequestGenerator",
     "Reservation",
+    "ServingOptions",
     "SimulationStalled",
     "SwapPolicy",
     "TrafficClass",
-    "disaggregated_cluster",
-    "gpu_only_cluster",
     "prefix_founders",
     "reasoning_traffic",
     "report_digest",

@@ -91,11 +91,9 @@ import enum
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import ClassVar
 
-from repro.analysis.perf_model import system_for
-from repro.gpu.system import GpuSystem
 from repro.models.config import ModelConfig
 from repro.models.dtypes import DType
 from repro.models.kv_cache import kv_cache_bytes
@@ -113,7 +111,7 @@ from repro.obs import (
     TraceRecorder,
     TraceRecording,
 )
-from repro.platform import GpuPlatform, Platform, RpuPlatform, StepCost
+from repro.platform import Platform, StepCost
 from repro.serving.contracts import mutates, pure_probe
 from repro.serving.disaggregated import INTERACTION_THRESHOLD_S
 from repro.serving.engine import EventCalendar, run_loop
@@ -419,12 +417,18 @@ class DecodePodSpec:
     model: ModelConfig
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """A serving fleet: prefill pods, decode pods, policies."""
+@dataclass(frozen=True, kw_only=True)
+class ServingOptions:
+    """The serving knobs a fleet runs under, declared once.
 
-    prefill_engines: tuple[Platform, ...]
-    decode_pods: tuple[DecodePodSpec, ...]
+    :class:`ClusterConfig` and :class:`repro.api.Scenario` both inherit
+    these fields, so a knob has one default and one check, and a
+    scenario forwards every knob to its cluster by name.  Knobs are
+    keyword-only, and an incoherent one raises a ``ValueError`` naming
+    the field when either class is constructed.
+    """
+
+    #: Decode admission order on every pod.
     policy: Policy = Policy.FIFO
     #: Order the shared prefill service queue is drained in (decode
     #: admission order is :attr:`policy` above).  FIFO reproduces the
@@ -454,14 +458,6 @@ class ClusterConfig:
     max_batch: int = 128
     weight_dtype: DType = DType.MXFP4
     kv_dtype: DType = DType.FP8
-    #: KV hand-off bandwidth override in bytes/s.  The sentinel ``None``
-    #: (the default) means "each decode platform's own ingest rate" --
-    #: :attr:`repro.platform.Platform.kv_ingest_bytes_per_s`, the Ring
-    #: Station's 100 GbE unless the platform overrides it.  A finite
-    #: value pins every hand-off to that rate; ``float("inf")`` models
-    #: colocated decode (the GPU-only baseline pays no transfer).
-    #: Zero/negative/NaN values are rejected.
-    kv_transfer_bytes_per_s: float | None = None
     #: KV reservation policy on decode pods.  PAGED (the vLLM block
     #: model) is the fleet default; FULL keeps the conservative
     #: full-context reservation for regression comparison.
@@ -473,7 +469,8 @@ class ClusterConfig:
     #: FULL-vs-PAGED comparisons and capacity what-ifs.
     kv_budget_bytes: float | None = None
     #: Interactive SLO: a completed query counts toward goodput iff its
-    #: end-to-end latency is within this bound.
+    #: end-to-end latency is within this bound (``float("inf")`` scores
+    #: pure throughput runs).
     slo_s: float = INTERACTION_THRESHOLD_S
     #: Cross-request prefix caching on decode pods (PAGED only):
     #: requests carrying a ``prefix_id`` reuse resident shared-prefix
@@ -493,11 +490,6 @@ class ClusterConfig:
     #: Host-link bandwidth for swap traffic (bytes/s).  ``None`` = the
     #: decode platform's ingest rate (the Ring Station host link).
     swap_bytes_per_s: float | None = None
-    #: Tenants sharing the fleet (their SLO classes drive the report's
-    #: per-tenant attainment and the admission buckets' weights).  The
-    #: empty default means one anonymous tenant scored against
-    #: ``slo_s`` -- the single-tenant simulator, unchanged.
-    tenants: tuple[TenantSpec, ...] = ()
     #: Load shedding (off by default -- see
     #: :class:`~repro.serving.tenancy.AdmissionConfig`).
     admission: AdmissionConfig = AdmissionConfig()
@@ -522,35 +514,10 @@ class ClusterConfig:
     trace: TraceConfig | None = None
 
     def __post_init__(self) -> None:
-        if not self.prefill_engines:
-            raise ValueError("cluster needs at least one prefill pod")
-        if not self.decode_pods:
-            raise ValueError("cluster needs at least one decode pod")
-        engines = [
-            (f"prefill_engines[{i}]", engine)
-            for i, engine in enumerate(self.prefill_engines)
-        ] + [
-            (f"decode_pods[{i}].engine", spec.engine)
-            for i, spec in enumerate(self.decode_pods)
-        ]
-        for label, engine in engines:
-            if not isinstance(engine, Platform):
-                raise TypeError(
-                    f"{label} must be a Platform, got {type(engine).__name__}; "
-                    "wrap raw systems as RpuPlatform(system) / GpuPlatform(system)"
-                )
         if self.kv_budget_bytes is not None and self.kv_budget_bytes <= 0:
             raise ValueError("kv_budget_bytes override must be positive")
         if self.slo_s <= 0:
             raise ValueError("slo_s must be positive")
-        if self.kv_transfer_bytes_per_s is not None and not (
-            self.kv_transfer_bytes_per_s > 0
-        ):
-            raise ValueError(
-                "kv_transfer_bytes_per_s must be positive (None = decode "
-                "platform ingest rate, float('inf') = colocated), got "
-                f"{self.kv_transfer_bytes_per_s}"
-            )
         if self.swap_bytes_per_s is not None and not self.swap_bytes_per_s > 0:
             raise ValueError(
                 "swap_bytes_per_s must be positive (None = decode platform "
@@ -581,6 +548,56 @@ class ClusterConfig:
             raise ValueError(
                 f"prefill_aging_s must be positive, got {self.prefill_aging_s}"
             )
+
+
+@dataclass(frozen=True)
+class ClusterConfig(ServingOptions):
+    """A serving fleet: prefill pods, decode pods, and the
+    :class:`ServingOptions` knobs they run under."""
+
+    prefill_engines: tuple[Platform, ...]
+    decode_pods: tuple[DecodePodSpec, ...]
+    _: KW_ONLY
+    #: KV hand-off bandwidth override in bytes/s.  The sentinel ``None``
+    #: (the default) means "each decode platform's own ingest rate" --
+    #: :attr:`repro.platform.Platform.kv_ingest_bytes_per_s`, the Ring
+    #: Station's 100 GbE unless the platform overrides it.  A finite
+    #: value pins every hand-off to that rate; ``float("inf")`` models
+    #: colocated decode (the GPU-only baseline pays no transfer).
+    #: Zero/negative/NaN values are rejected.
+    kv_transfer_bytes_per_s: float | None = None
+    #: Tenants sharing the fleet (their SLO classes drive the report's
+    #: per-tenant attainment and the admission buckets' weights).  The
+    #: empty default means one anonymous tenant scored against
+    #: ``slo_s`` -- the single-tenant simulator, unchanged.
+    tenants: tuple[TenantSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.prefill_engines:
+            raise ValueError("cluster needs at least one prefill pod")
+        if not self.decode_pods:
+            raise ValueError("cluster needs at least one decode pod")
+        engines = [
+            (f"prefill_engines[{i}]", engine)
+            for i, engine in enumerate(self.prefill_engines)
+        ] + [
+            (f"decode_pods[{i}].engine", spec.engine)
+            for i, spec in enumerate(self.decode_pods)
+        ]
+        for label, engine in engines:
+            if not isinstance(engine, Platform):
+                raise TypeError(
+                    f"{label} must be a Platform, got {type(engine).__name__}; "
+                    "wrap raw systems as RpuPlatform(system) / GpuPlatform(system)"
+                )
+        if self.kv_transfer_bytes_per_s is not None and not (
+            self.kv_transfer_bytes_per_s > 0
+        ):
+            raise ValueError(
+                "kv_transfer_bytes_per_s must be positive (None = decode "
+                "platform ingest rate, float('inf') = colocated), got "
+                f"{self.kv_transfer_bytes_per_s}"
+            )
         names = [tenant.name for tenant in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names}")
@@ -589,79 +606,7 @@ class ClusterConfig:
                 "roster tenants need non-empty names (the empty name is "
                 "the anonymous single-tenant default)"
             )
-
-
-def disaggregated_cluster(
-    model: ModelConfig,
-    *,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 2,
-    gpus_per_prefill: int = 2,
-    cus_per_pod: int = 128,
-    sizing_batch: int = 32,
-    policy: Policy = Policy.FIFO,
-    prefill_policy: PrefillPolicy = PrefillPolicy.FIFO,
-    max_batch: int = 128,
-    reservation: Reservation = Reservation.PAGED,
-    block_tokens: int = 128,
-    chunk_tokens: int = 512,
-    kv_budget_bytes: float | None = None,
-) -> ClusterConfig:
-    """GPU prefill + RPU decode fleet for one model (the paper's
-    deployment)."""
-    sizing = Workload(model, batch_size=sizing_batch, seq_len=8192)
-    pod_platform = RpuPlatform(system_for(cus_per_pod, sizing))
-    return ClusterConfig(
-        prefill_engines=tuple(
-            GpuPlatform(GpuSystem(count=gpus_per_prefill))
-            for _ in range(num_prefill_pods)
-        ),
-        decode_pods=tuple(
-            DecodePodSpec(pod_platform, model) for _ in range(num_decode_pods)
-        ),
-        policy=policy,
-        prefill_policy=prefill_policy,
-        max_batch=max_batch,
-        reservation=reservation,
-        block_tokens=block_tokens,
-        chunk_tokens=chunk_tokens,
-        kv_budget_bytes=kv_budget_bytes,
-    )
-
-
-def gpu_only_cluster(
-    model: ModelConfig,
-    *,
-    num_prefill_pods: int = 2,
-    num_decode_pods: int = 2,
-    gpus_per_prefill: int = 2,
-    gpus_per_decode: int = 2,
-    policy: Policy = Policy.FIFO,
-    max_batch: int = 128,
-    reservation: Reservation = Reservation.PAGED,
-    block_tokens: int = 128,
-    chunk_tokens: int = 512,
-    kv_budget_bytes: float | None = None,
-) -> ClusterConfig:
-    """All-GPU baseline: decode pods are GPU groups and the KV hand-off
-    is free (colocated serving -- generous to the baseline)."""
-    return ClusterConfig(
-        prefill_engines=tuple(
-            GpuPlatform(GpuSystem(count=gpus_per_prefill))
-            for _ in range(num_prefill_pods)
-        ),
-        decode_pods=tuple(
-            DecodePodSpec(GpuPlatform(GpuSystem(count=gpus_per_decode)), model)
-            for _ in range(num_decode_pods)
-        ),
-        policy=policy,
-        max_batch=max_batch,
-        kv_transfer_bytes_per_s=float("inf"),
-        reservation=reservation,
-        block_tokens=block_tokens,
-        chunk_tokens=chunk_tokens,
-        kv_budget_bytes=kv_budget_bytes,
-    )
+        super().__post_init__()
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.serving.contracts import mutates
@@ -60,16 +60,14 @@ class EventCalendar:
         self._open_batch: list[Event] | None = None
         #: Index of the event currently being dispatched within the
         #: open batch (maintained by :func:`run_loop`); lets
-        #: :meth:`next_when` see same-timestamp events still pending.
+        #: :meth:`open_batch_pending` see same-timestamp events still
+        #: pending.
         self.cursor = 0
 
-    def __len__(self) -> int:
-        pending = len(self._heap)
-        if self._open_batch is not None:
-            pending += len(self._open_batch)
-        return pending
-
     def __bool__(self) -> bool:
+        """True while the heap holds events to pop.  Events left in the
+        open batch do not count: :func:`run_loop` drains the batch it
+        holds before asking for the next one."""
         return bool(self._heap)
 
     @mutates
@@ -84,34 +82,13 @@ class EventCalendar:
         else:
             heapq.heappush(self._heap, event)
 
-    def next_when(self) -> float | None:
-        """Timestamp of the next event that will be dispatched after the
-        one currently in flight, or ``None`` if the calendar is drained.
-
-        Same-timestamp events still pending in the open batch count: a
-        handler probing this mid-batch sees its own timestamp, which
-        tells fast-path consumers (the cluster's bulk decode lane) that
-        another actor acts *now* and they must not leap ahead.
-        """
-        batch = self._open_batch
-        if batch is not None and self.cursor + 1 < len(batch):
-            return self._open_when
-        return self._heap[0][0] if self._heap else None
-
     def open_batch_pending(self) -> bool:
         """True while same-timestamp events beyond the one in flight
-        remain in the open batch."""
+        remain in the open batch: another actor acts *now*, so a
+        fast-path consumer (the cluster's bulk decode lane) must not
+        leap ahead."""
         batch = self._open_batch
         return batch is not None and self.cursor + 1 < len(batch)
-
-    def pending_events(self) -> Iterator[tuple[float, int, object]]:
-        """Unordered iterator over scheduled-but-unpopped events as
-        ``(when, kind, payload)`` -- the heap only, never the open
-        batch (check :meth:`open_batch_pending` first).  Read-only
-        introspection for fast-path consumers sizing how far they can
-        run before another actor acts."""
-        for when, _seq, kind, payload in self._heap:
-            yield when, kind, payload
 
     @mutates
     def pop_batch(self) -> tuple[float, list[Event]]:
@@ -159,7 +136,7 @@ def run_loop(
         now, batch = calendar.pop_batch()
         # Index loop, not ``for``: the batch is live (same-timestamp
         # pushes append mid-iteration) and ``cursor`` must track the
-        # event in flight for :meth:`EventCalendar.next_when`.
+        # event in flight for :meth:`EventCalendar.open_batch_pending`.
         i = 0
         while i < len(batch):
             event = batch[i]

@@ -1,7 +1,11 @@
 """Scenario runner: ISO-TDP parity with hand-built fleets, hybrid
 fleets, presets, and knob threading."""
 
+import dataclasses
+
 import pytest
+
+import repro.api
 
 from repro.analysis.cluster_sweep import sweep
 from repro.analysis.perf_model import iso_tdp_system
@@ -14,18 +18,24 @@ from repro.api import (
     scenario,
 )
 from repro.gpu.system import GpuSystem
+from repro.models.dtypes import DType
 from repro.models.llama3 import LLAMA3_70B
 from repro.models.workload import Workload
-from repro.platform import RpuPlatform, build_platform
+from repro.obs import TraceConfig
+from repro.platform import GpuPlatform, RpuPlatform, build_platform
 from repro.serving.cluster import (
     ClusterConfig,
     DecodePodSpec,
-    gpu_only_cluster,
+    PrefillPolicy,
+    ServingOptions,
     simulate,
 )
 from repro.serving.engine import report_digest
+from repro.serving.kvstore import SwapPolicy
 from repro.serving.requests import RequestGenerator, reasoning_traffic
-from repro.serving.scheduler import Reservation
+from repro.serving.scheduler import Policy, Reservation
+from repro.serving.tenancy import AdmissionConfig, AutoscalerConfig, CostModel
+from repro.specdec import SpecDecConfig
 
 
 def reasoning_spec(rate_rps=1.0, duration_s=20.0, seed=0):
@@ -50,11 +60,17 @@ class TestIsoTdpParity:
         requests = reasoning_spec().requests(LLAMA3_70B)
         sizing = Workload(LLAMA3_70B, batch_size=32, seq_len=8192)
         rpu_pod = iso_tdp_system(GpuSystem(count=2), sizing)
-        gpu_config = gpu_only_cluster(
-            LLAMA3_70B, num_prefill_pods=2, num_decode_pods=2, gpus_per_decode=2
+        prefill = tuple(GpuPlatform(GpuSystem(count=2)) for _ in range(2))
+        gpu_config = ClusterConfig(
+            prefill_engines=prefill,
+            decode_pods=tuple(
+                DecodePodSpec(GpuPlatform(GpuSystem(count=2)), LLAMA3_70B)
+                for _ in range(2)
+            ),
+            kv_transfer_bytes_per_s=float("inf"),
         )
         disagg_config = ClusterConfig(
-            prefill_engines=gpu_config.prefill_engines,
+            prefill_engines=prefill,
             decode_pods=tuple(
                 DecodePodSpec(RpuPlatform(rpu_pod), LLAMA3_70B) for _ in range(2)
             ),
@@ -207,6 +223,22 @@ class TestPresets:
         assert len(report.completed) == report.num_submitted
 
 
+#: field -> knob settings its check rejects, naming that field.
+INCOHERENT_KNOBS = {
+    "prefix_caching": {"prefix_caching": True, "reservation": Reservation.FULL},
+    "slo_s": {"slo_s": 0},
+    "kv_budget_bytes": {"kv_budget_bytes": 0.0},
+    "host_kv_bytes": {"host_kv_bytes": -1.0},
+    "swap_bytes_per_s": {"swap_bytes_per_s": float("nan")},
+    "affine_defer_s": {"affine_defer_s": float("inf")},
+    "prefill_aging_s": {"prefill_aging_s": 0.0},
+    "late_binding": {
+        "prefill_policy": PrefillPolicy.PREFIX_AFFINE,
+        "late_binding": False,
+    },
+}
+
+
 class TestScenarioValidation:
     def test_needs_pod_groups(self):
         with pytest.raises(ValueError, match="pod group"):
@@ -244,6 +276,40 @@ class TestScenarioValidation:
         for name in SCENARIOS:
             assert name in rendered
 
+    def test_comparison_table_labels_equal_unnamed_scenarios_apart(self):
+        """One unnamed fleet tabulated with reports from two seeds: each
+        row is labelled by its position, not by the first equal
+        scenario's."""
+        fleet = Scenario(model=LLAMA3_70B)
+        reports = [
+            fleet.run(
+                TrafficSpec(rate_rps=0.5, duration_s=4.0, seed=seed).requests(
+                    LLAMA3_70B
+                )
+            )
+            for seed in (0, 1)
+        ]
+        table = comparison_table([fleet, fleet], reports=reports)
+        assert [row[0] for row in table.rows] == ["scenario-0", "scenario-1"]
+
+    @pytest.mark.parametrize("field", list(INCOHERENT_KNOBS))
+    def test_incoherent_knob_fails_when_the_scenario_is_built(self, field):
+        with pytest.raises(ValueError, match=field):
+            Scenario(model=LLAMA3_70B, **INCOHERENT_KNOBS[field])
+
+    def test_sweep_rejects_an_incoherent_point_before_simulating(
+        self, monkeypatch
+    ):
+        simulated = []
+        monkeypatch.setattr(
+            repro.api, "simulate",
+            lambda config, requests: simulated.append(config),
+        )
+        base = Scenario(model=LLAMA3_70B, traffic=TrafficSpec(duration_s=4.0))
+        with pytest.raises(ValueError, match="slo_s"):
+            sweep(base, [{"slo_s": 5.0}, {"slo_s": 0.0}])
+        assert simulated == []
+
 
 class TestTopLevelExports:
     def test_serving_api_exported_from_repro(self):
@@ -251,8 +317,6 @@ class TestTopLevelExports:
 
         for name in (
             "simulate",
-            "disaggregated_cluster",
-            "gpu_only_cluster",
             "ClusterConfig",
             "ClusterReport",
             "Scenario",
@@ -272,26 +336,51 @@ class TestTopLevelExports:
             assert module in repro.__doc__
 
 
+#: A coherent non-default value for every :class:`ServingOptions` knob.
+NON_DEFAULT_KNOBS = {
+    "policy": Policy.SJF,
+    "prefill_policy": PrefillPolicy.PREFIX_AFFINE,
+    "late_binding": False,
+    "affine_defer_s": 0.5,
+    "affine_adaptive": False,
+    "prefill_aging_s": 3.0,
+    "max_batch": 64,
+    "weight_dtype": DType.FP8,
+    "kv_dtype": DType.BF16,
+    "reservation": Reservation.FULL,
+    "block_tokens": 32,
+    "chunk_tokens": 128,
+    "kv_budget_bytes": 3e9,
+    "slo_s": 5.0,
+    "prefix_caching": True,
+    "swap_policy": SwapPolicy.AUTO,
+    "host_kv_bytes": 32e9,
+    "swap_bytes_per_s": 25e9 / 8,
+    "admission": AdmissionConfig(enabled=True),
+    "autoscaler": AutoscalerConfig(),
+    "cost_model": CostModel(default_usd_per_pod_hour=4.0),
+    "specdec": SpecDecConfig(),
+    "trace": TraceConfig(),
+}
+
+
 class TestKvHierarchyKnobs:
     def test_knobs_thread_through_to_cluster_config(self):
-        from repro.serving.kvstore import SwapPolicy
-
-        entry = Scenario(
-            model=LLAMA3_70B,
-            prefix_caching=True,
-            swap_policy=SwapPolicy.AUTO,
-            host_kv_bytes=32e9,
-            swap_bytes_per_s=25e9 / 8,
-        )
-        config = entry.cluster()
-        assert config.prefix_caching is True
-        assert config.swap_policy is SwapPolicy.AUTO
-        assert config.host_kv_bytes == 32e9
-        assert config.swap_bytes_per_s == 25e9 / 8
+        """Every serving knob, set alone to a non-default value on a
+        Scenario, arrives unchanged on its cluster -- and leaves every
+        other knob where the scenario had it."""
+        knobs = [f.name for f in dataclasses.fields(ServingOptions)]
+        assert sorted(knobs) == sorted(NON_DEFAULT_KNOBS)
+        default = Scenario(model=LLAMA3_70B)
+        for name, value in NON_DEFAULT_KNOBS.items():
+            assert value != getattr(default, name), name
+            entry = Scenario(model=LLAMA3_70B, **{name: value})
+            config = entry.cluster()
+            assert getattr(config, name) == value, name
+            for knob in knobs:
+                assert getattr(config, knob) == getattr(entry, knob), knob
 
     def test_defaults_are_off(self):
-        from repro.serving.kvstore import SwapPolicy
-
         config = Scenario(model=LLAMA3_70B).cluster()
         assert config.prefix_caching is False
         assert config.swap_policy is SwapPolicy.NEVER
@@ -341,8 +430,6 @@ class TestPrefillQueueKnobs:
     TrafficSpec."""
 
     def test_scenario_threads_queue_knobs(self):
-        from repro.serving.cluster import PrefillPolicy
-
         entry = Scenario(
             model=LLAMA3_70B,
             prefill_policy=PrefillPolicy.PREFIX_AFFINE,
@@ -355,17 +442,15 @@ class TestPrefillQueueKnobs:
         assert config.prefill_aging_s == 3.0
         arrival = Scenario(model=LLAMA3_70B, late_binding=False).cluster()
         assert arrival.late_binding is False
-        # The silently-degenerate combo is rejected at cluster build.
+        # The silently-degenerate combo is rejected at scenario build.
         with pytest.raises(ValueError):
             Scenario(
                 model=LLAMA3_70B,
                 prefill_policy=PrefillPolicy.PREFIX_AFFINE,
                 late_binding=False,
-            ).cluster()
+            )
 
     def test_defaults_are_fifo_late_bound(self):
-        from repro.serving.cluster import PrefillPolicy
-
         config = Scenario(model=LLAMA3_70B).cluster()
         assert config.prefill_policy is PrefillPolicy.FIFO
         assert config.late_binding is True

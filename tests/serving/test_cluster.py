@@ -5,7 +5,10 @@ import dataclasses
 
 import pytest
 
+from fleets import fleet
+
 from repro.analysis.perf_model import system_for
+from repro.api import PodGroup, Scenario
 from repro.gpu.system import GpuSystem
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.models.workload import Workload
@@ -17,8 +20,6 @@ from repro.serving.cluster import (
     PrefillPolicy,
     RequestRecord,
     SimulationStalled,
-    disaggregated_cluster,
-    gpu_only_cluster,
     simulate,
 )
 from repro.serving.disaggregated import DisaggregatedSystem
@@ -87,7 +88,7 @@ class TestSingleRequestLimit:
 
 class TestConservationAndDeterminism:
     def test_every_request_completes_or_rejects(self, traffic_70b):
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         assert report.num_submitted == len(traffic_70b)
         assert len(report.completed) + len(report.rejected) == len(traffic_70b)
@@ -107,7 +108,7 @@ class TestConservationAndDeterminism:
             )
 
     def test_seeded_rerun_is_identical(self, traffic_70b):
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         a = simulate(config, traffic_70b)
         b = ClusterSim(config).run(traffic_70b)
         assert a.duration_s == b.duration_s
@@ -134,7 +135,7 @@ class TestConservationAndDeterminism:
         sim = ClusterSim(single_pod_config(LLAMA3_8B))
         with pytest.raises(ValueError, match="unique"):
             sim.run([first, twin])
-        assert len(sim._calendar) == 0
+        assert not sim._calendar  # a fresh calendar: nothing was pushed
 
     def test_refused_run_leaves_sim_reusable(self):
         """The uniqueness check fires before any state is stamped: the
@@ -256,7 +257,7 @@ class TestLiveness:
             Request(i, 0.1 * i, LLAMA3_8B, prompt_len=256, decode_len=32)
             for i in range(12)
         ]
-        config = disaggregated_cluster(LLAMA3_8B, kv_budget_bytes=2e8)
+        config = Scenario(LLAMA3_8B, kv_budget_bytes=2e8).cluster()
         with pytest.raises(SimulationStalled) as info:
             simulate(config, requests)
         return str(info.value)
@@ -334,7 +335,7 @@ class TestRoutingAndPolicies:
         assert pods == {0: "decode0", 1: "decode1", 2: "decode0"}
 
     def test_load_balances_across_pods(self, traffic_70b):
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         counts = {"decode0": 0, "decode1": 0}
         for record in report.completed:
@@ -343,16 +344,14 @@ class TestRoutingAndPolicies:
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_policies_both_complete(self, traffic_70b, policy):
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_decode_pods=1, policy=policy
-        )
+        config = fleet(LLAMA3_70B, decode=1, policy=policy)
         report = simulate(config, traffic_70b)
         assert len(report.completed) == len(traffic_70b)
 
 
 class TestReport:
     def test_slo_metrics_sane(self, traffic_70b):
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         assert 0.0 <= report.goodput <= 1.0
         assert report.ttft_percentile(50) <= report.ttft_percentile(99)
@@ -369,7 +368,7 @@ class TestReport:
         reads it, and the values match a from-scratch interpolation."""
         from repro.util.stats import percentile
 
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         p95 = report.ttft_percentile(95)
         cached = report._memo["ttft_s"]
@@ -381,18 +380,19 @@ class TestReport:
         )
 
     def test_per_tenant_is_memoized(self, traffic_70b):
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         assert report.per_tenant() is report.per_tenant()
 
-    def test_gpu_only_cluster_runs(self):
+    def test_colocated_gpu_fleet_runs(self):
         generator = RequestGenerator(
             classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=0.5, seed=3
         )
         requests = generator.generate(8.0)
-        report = simulate(
-            gpu_only_cluster(LLAMA3_70B, num_decode_pods=2), requests
+        gpu_only = Scenario(
+            LLAMA3_70B, decode=(PodGroup("gpu", count=2),), colocated=True
         )
+        report = simulate(gpu_only.cluster(), requests)
         assert len(report.completed) == len(requests)
         # GPU decode pays no KV hand-off in the colocated baseline.
         assert all(
@@ -406,9 +406,9 @@ class TestPagedCluster:
     occupancy stats, and the dual throughput metrics."""
 
     def tight_fleet(self, reservation):
-        return disaggregated_cluster(
+        return fleet(
             LLAMA3_70B,
-            num_decode_pods=1,
+            decode=1,
             reservation=reservation,
             kv_budget_bytes=3e9,  # ~3 mean full-context reservations
         )
@@ -483,7 +483,7 @@ class TestPagedCluster:
 
 class TestThroughputWindows:
     def test_both_windows_reported(self, traffic_70b):
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         assert report.last_arrival_s == max(
             r.arrival_s for r in traffic_70b
@@ -500,7 +500,7 @@ class TestThroughputWindows:
         """Only tokens generated inside the window count: the naive
         decode_tokens / last_arrival_s (which attributes drain-tail
         tokens to the window) must strictly exceed the honest rate."""
-        config = disaggregated_cluster(LLAMA3_70B, num_decode_pods=2)
+        config = Scenario(LLAMA3_70B).cluster()
         report = simulate(config, traffic_70b)
         window = report.last_arrival_s
         assert 0 < report.decode_tokens_before(window) < report.decode_tokens
@@ -521,9 +521,7 @@ class TestThroughputWindows:
             classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=8.0, seed=1
         )
         requests = generator.generate(12.0)
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_decode_pods=1, kv_budget_bytes=3e9
-        )
+        config = fleet(LLAMA3_70B, decode=1, kv_budget_bytes=3e9)
         report = simulate(config, requests)
         assert report.duration_s > 1.5 * report.last_arrival_s  # long drain
         # The old definition reported ~4x the drain rate here.
@@ -559,8 +557,9 @@ class TestAllShedReport:
         # an empty bucket and is shed at the door.
         from repro.serving.tenancy import AdmissionConfig
 
-        config = dataclasses.replace(
-            disaggregated_cluster(LLAMA3_70B, kv_budget_bytes=3e9),
+        config = Scenario(
+            LLAMA3_70B,
+            kv_budget_bytes=3e9,
             admission=AdmissionConfig(
                 enabled=True,
                 pressure_floor=0.01,
@@ -568,7 +567,7 @@ class TestAllShedReport:
                 tokens_per_s_per_weight=1e-6,
                 burst_s=1e-3,
             ),
-        )
+        ).cluster()
         requests = [
             Request(i, 0.0, LLAMA3_70B, prompt_len=512, decode_len=256)
             for i in range(8)
@@ -658,7 +657,7 @@ class TestConfigValidation:
     def config(self, **overrides):
         import dataclasses
 
-        base = disaggregated_cluster(LLAMA3_70B)
+        base = Scenario(LLAMA3_70B).cluster()
         return dataclasses.replace(base, **overrides)
 
     def test_kv_transfer_rejects_nonpositive(self):
@@ -713,7 +712,7 @@ class TestConfigValidation:
 class TestReviewRegressions:
     def test_sim_instance_is_reusable(self, traffic_70b):
         """Two runs on one ClusterSim must match (pod state resets)."""
-        sim = ClusterSim(disaggregated_cluster(LLAMA3_70B, num_decode_pods=2))
+        sim = ClusterSim(Scenario(LLAMA3_70B).cluster())
         a = sim.run(traffic_70b)
         b = sim.run(traffic_70b)
         assert a.duration_s == b.duration_s
@@ -748,9 +747,7 @@ class TestReviewRegressions:
     def test_simultaneous_handoffs_spread_across_pods(self):
         """Requests whose KV is still in flight count as pod load, so a
         burst finishing prefill together fans out instead of herding."""
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_prefill_pods=4, num_decode_pods=2
-        )
+        config = fleet(LLAMA3_70B, prefill=4)
         burst = [
             Request(i, 0.0, LLAMA3_70B, prompt_len=2048, decode_len=1024)
             for i in range(4)
@@ -794,10 +791,9 @@ class TestPrefillQueueRegression:
 
     @pytest.mark.parametrize("reservation", list(Reservation))
     def test_pinned_digest(self, traffic, reservation):
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_prefill_pods=2, num_decode_pods=2,
-            reservation=reservation, kv_budget_bytes=3e9,
-        )
+        config = Scenario(
+            LLAMA3_70B, reservation=reservation, kv_budget_bytes=3e9
+        ).cluster()
         report = simulate(config, traffic)
         digest = (
             report.duration_s,
@@ -833,12 +829,7 @@ class TestDegeneratePolicyEquivalence:
         ]
 
     def run(self, requests, **overrides):
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_prefill_pods=1, num_decode_pods=1
-            ),
-            **overrides,
-        )
+        config = fleet(LLAMA3_70B, prefill=1, decode=1, **overrides)
         return simulate(config, requests)
 
     @staticmethod
@@ -945,12 +936,7 @@ class TestLateBoundHits:
             prefill_policy=PrefillPolicy.PREFIX_AFFINE,
         )
         settings.update(overrides)
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_prefill_pods=1, num_decode_pods=1
-            ),
-            **settings,
-        )
+        config = fleet(LLAMA3_70B, prefill=1, decode=1, **settings)
         founder = Request(
             0, 0.0, LLAMA3_70B, prompt_len=self.PREFIX_LEN, decode_len=32,
             prefix_id=1, prefix_len=self.PREFIX_LEN,
@@ -1080,11 +1066,10 @@ class TestLateBoundHits:
         """A preempted group member's own record keeps the group's
         in-flight tally non-zero; its resume must not be deferred
         waiting for itself to publish the prefix."""
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_prefill_pods=2, num_decode_pods=1,
-                kv_budget_bytes=2e9,  # tight: fillers preempt the founder
-            ),
+        config = fleet(
+            LLAMA3_70B,
+            decode=1,
+            kv_budget_bytes=2e9,  # tight: fillers preempt the founder
             prefix_caching=True,
             prefill_policy=PrefillPolicy.PREFIX_AFFINE,
             affine_defer_s=5.0,
@@ -1138,11 +1123,11 @@ class TestPrefillQueueProperties:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_conservation_and_no_overflow(self, policy, seed):
         requests = self.storm_traffic(seed)
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_prefill_pods=1, num_decode_pods=1,
-                kv_budget_bytes=2e9,  # tight: forces a storm
-            ),
+        config = fleet(
+            LLAMA3_70B,
+            prefill=1,
+            decode=1,
+            kv_budget_bytes=2e9,  # tight: forces a storm
             prefix_caching=True,
             prefill_policy=policy,
         )
@@ -1195,11 +1180,11 @@ class TestPrefillQueueProperties:
     def test_deterministic_across_policies(self):
         requests = self.storm_traffic(3)
         for policy in PrefillPolicy:
-            config = dataclasses.replace(
-                disaggregated_cluster(
-                    LLAMA3_70B, num_prefill_pods=1, num_decode_pods=1,
-                    kv_budget_bytes=3e9,
-                ),
+            config = fleet(
+                LLAMA3_70B,
+                prefill=1,
+                decode=1,
+                kv_budget_bytes=3e9,
                 prefix_caching=True,
                 prefill_policy=policy,
             )
@@ -1217,9 +1202,7 @@ class TestPrefillQueueReport:
             Request(i, 0.02 * i, LLAMA3_70B, prompt_len=2048, decode_len=64)
             for i in range(8)
         ]
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_prefill_pods=1, num_decode_pods=1
-        )
+        config = fleet(LLAMA3_70B, prefill=1, decode=1)
         report = simulate(config, requests)
         assert report.prefill_queue.jobs == 8
         assert report.prefill_queue.peak_depth >= 1
@@ -1242,7 +1225,7 @@ class TestPrefillQueueReport:
             raise AssertionError("hit-rate row missing from summary")
 
     def test_validation_of_queue_knobs(self):
-        base = disaggregated_cluster(LLAMA3_70B)
+        base = Scenario(LLAMA3_70B).cluster()
         with pytest.raises(ValueError):
             dataclasses.replace(base, affine_defer_s=-1.0)
         with pytest.raises(ValueError):
@@ -1270,10 +1253,9 @@ class TestPrefillQueueReport:
         fallback (``affine_adaptive=False``); the adaptive default
         extends the deadline to the founder's completion estimate and
         has its own coverage in test_tenancy.py."""
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_prefill_pods=2, num_decode_pods=1
-            ),
+        config = fleet(
+            LLAMA3_70B,
+            decode=1,
             prefix_caching=True,
             prefill_policy=PrefillPolicy.PREFIX_AFFINE,
             affine_defer_s=0.05,

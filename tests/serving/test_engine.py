@@ -14,13 +14,9 @@ import dataclasses
 
 import pytest
 
-from repro.api import TrafficSpec
+from repro.api import Scenario, TrafficSpec
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
-from repro.serving.cluster import (
-    PrefillPolicy,
-    disaggregated_cluster,
-    simulate,
-)
+from repro.serving.cluster import PrefillPolicy, simulate
 from repro.serving.engine import EventCalendar, report_digest, run_loop
 from repro.serving.kvstore import SwapPolicy
 from repro.serving.requests import (
@@ -86,25 +82,16 @@ class TestEventCalendar:
         when, batch = cal.pop_batch()
         assert when == 1.0 and [e[3] for e in batch] == ["too-late"]
 
-    def test_len_counts_heap_and_open_batch(self):
+    def test_open_batch_is_not_truthy(self):
+        """``run_loop`` pops while the calendar is truthy, so events
+        already handed out in the open batch must not count."""
         cal = EventCalendar()
-        assert len(cal) == 0 and not cal
+        assert not cal
         cal.push(1.0, 0, None)
         cal.push(1.0, 0, None)
-        assert len(cal) == 2
+        assert cal
         cal.pop_batch()
-        assert len(cal) == 2  # still in the open batch
-        assert not cal  # but nothing left to *pop*
-
-    def test_next_when_peeks_without_popping(self):
-        cal = EventCalendar()
-        assert cal.next_when() is None
-        cal.push(3.0, 0, "later")
-        cal.push(1.0, 0, "soon")
-        assert cal.next_when() == 1.0
-        assert len(cal) == 2  # peeking drained nothing
-        cal.pop_batch()
-        assert cal.next_when() == 3.0
+        assert not cal  # both still in the open batch, nothing to *pop*
 
     def test_open_batch_pending_tracks_the_live_batch(self):
         """Mid-batch, a same-timestamp push is visible as pending; the
@@ -122,22 +109,9 @@ class TestEventCalendar:
                 cal.push(1.0, 0, "chained")
                 # The chained event joined the live batch, not the heap.
                 assert cal.open_batch_pending()
-                assert cal.next_when() == 1.0  # another actor acts *now*
             else:
                 # In flight on the last batch event: nothing pending.
                 assert not cal.open_batch_pending()
-        assert cal.next_when() is None
-
-    def test_pending_events_previews_the_heap(self):
-        cal = EventCalendar()
-        cal.push(1.0, 0, "a")
-        cal.push(2.0, 1, "b")
-        cal.pop_batch()
-        pending = list(cal.pending_events())
-        assert pending == [(2.0, 1, "b")]
-        # The preview is non-destructive: "b" still pops normally.
-        when, batch = cal.pop_batch()
-        assert when == 2.0 and [e[3] for e in batch] == ["b"]
 
     def test_matches_plain_heap_on_a_storm(self):
         """Randomized cross-check: batch draining replays the exact
@@ -250,7 +224,7 @@ def _traffic(
 
 
 def _base(model=LLAMA3_8B, kv_budget=2e8, **overrides):
-    config = disaggregated_cluster(model, kv_budget_bytes=kv_budget)
+    config = Scenario(model, kv_budget_bytes=kv_budget).cluster()
     return dataclasses.replace(config, **overrides) if overrides else config
 
 

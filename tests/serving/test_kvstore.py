@@ -8,8 +8,11 @@ import random
 
 import pytest
 
+from fleets import fleet
+
+from repro.api import Scenario
 from repro.models.llama3 import LLAMA3_70B
-from repro.serving.cluster import disaggregated_cluster, simulate
+from repro.serving.cluster import simulate
 from repro.serving.kvstore import KvBlockStore, SwapPolicy, swap_recompute_costs
 from repro.serving.requests import (
     Request,
@@ -429,9 +432,8 @@ class TestDisabledHierarchyRegression:
 
     @pytest.mark.parametrize("reservation", list(Reservation))
     def test_pinned_digest(self, traffic, reservation):
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_decode_pods=1,
-            reservation=reservation, kv_budget_bytes=3e9,
+        config = fleet(
+            LLAMA3_70B, decode=1, reservation=reservation, kv_budget_bytes=3e9
         )
         report = simulate(config, traffic)
         digest = (
@@ -466,9 +468,7 @@ class TestClusterPrefixCaching:
     @pytest.fixture(scope="class")
     def fleets(self):
         requests = shared_traffic()
-        base = disaggregated_cluster(
-            LLAMA3_70B, num_decode_pods=2, kv_budget_bytes=6e9
-        )
+        base = Scenario(LLAMA3_70B, kv_budget_bytes=6e9).cluster()
         cached = dataclasses.replace(base, prefix_caching=True)
         return requests, simulate(base, requests), simulate(cached, requests)
 
@@ -512,12 +512,9 @@ class TestClusterPrefixCaching:
 
     def test_deterministic(self, fleets):
         requests, _, cached = fleets
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_decode_pods=2, kv_budget_bytes=6e9
-            ),
-            prefix_caching=True,
-        )
+        config = Scenario(
+            LLAMA3_70B, kv_budget_bytes=6e9, prefix_caching=True
+        ).cluster()
         again = simulate(config, requests)
         assert [r.completed_s for r in again.completed] == [
             r.completed_s for r in cached.completed
@@ -534,10 +531,7 @@ class TestClusterSwap:
         return generator.generate(20.0)
 
     def tight(self, **overrides):
-        base = disaggregated_cluster(
-            LLAMA3_70B, num_decode_pods=1, kv_budget_bytes=3e9
-        )
-        return dataclasses.replace(base, **overrides)
+        return fleet(LLAMA3_70B, decode=1, kv_budget_bytes=3e9, **overrides)
 
     def test_always_swaps_and_conserves(self, pressure):
         report = simulate(

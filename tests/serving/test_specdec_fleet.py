@@ -5,14 +5,12 @@ and tool-call parking (device parks and swapped parks)."""
 import dataclasses
 
 import pytest
+from fleets import fleet
 
+from repro.api import Scenario
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.models.workload import Workload
-from repro.serving.cluster import (
-    ClusterSim,
-    disaggregated_cluster,
-    simulate,
-)
+from repro.serving.cluster import ClusterSim, simulate
 from repro.serving.engine import report_digest
 from repro.serving.kvstore import SwapPolicy
 from repro.serving.requests import Request, RequestGenerator, TrafficClass
@@ -31,8 +29,7 @@ def _traffic(seed=61, rate=2.0, duration=10.0):
 
 
 def _config(**overrides):
-    config = disaggregated_cluster(LLAMA3_70B, kv_budget_bytes=3e9)
-    return dataclasses.replace(config, **overrides) if overrides else config
+    return Scenario(LLAMA3_70B, kv_budget_bytes=3e9, **overrides).cluster()
 
 
 class TestSpecdecWiring:
@@ -174,10 +171,10 @@ class TestStrandedPoolRescue:
         requests = RequestGenerator(
             classes=(cls,), rate_rps=8.0, seed=5
         ).generate(12.0)
-        config = dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_decode_pods=1, kv_budget_bytes=3e9
-            ),
+        config = fleet(
+            LLAMA3_70B,
+            decode=1,
+            kv_budget_bytes=3e9,
             prefix_caching=True,
             swap_policy=swap_policy,
             specdec=specdec,

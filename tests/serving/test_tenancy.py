@@ -2,11 +2,11 @@
 control (shedding conservation), the autoscaler control loop, the
 per-tenant report surface, and the scenario registry."""
 
-import dataclasses
 import json
 import math
 
 import pytest
+from fleets import fleet
 
 from repro.api import (
     SCENARIOS,
@@ -19,11 +19,7 @@ from repro.api import (
     scenario_names,
 )
 from repro.models.llama3 import LLAMA3_70B
-from repro.serving.cluster import (
-    PrefillPolicy,
-    disaggregated_cluster,
-    simulate,
-)
+from repro.serving.cluster import PrefillPolicy, simulate
 from repro.serving.requests import (
     ArrivalTrace,
     Request,
@@ -378,10 +374,7 @@ class TestOneTenantDigest:
             rate_rps=3.0, duration_s=20.0, seed=7,
             classes=(reasoning_traffic(LLAMA3_70B),),
         )
-        config = disaggregated_cluster(
-            LLAMA3_70B, num_prefill_pods=2, num_decode_pods=2,
-            kv_budget_bytes=3e9,
-        )
+        config = Scenario(LLAMA3_70B, kv_budget_bytes=3e9).cluster()
         assert config.tenants == ()
         assert not config.admission.enabled
         assert config.autoscaler is None
@@ -672,12 +665,7 @@ class TestAdaptiveAffineDeferral:
             affine_defer_s=0.05,
         )
         settings.update(overrides)
-        return dataclasses.replace(
-            disaggregated_cluster(
-                LLAMA3_70B, num_prefill_pods=2, num_decode_pods=1
-            ),
-            **settings,
-        )
+        return fleet(LLAMA3_70B, decode=1, **settings)
 
     def test_adaptive_recovers_hits_the_fixed_window_loses(self):
         fixed = simulate(self.config(affine_adaptive=False), self.fanout())
