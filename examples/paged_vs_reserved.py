@@ -11,18 +11,21 @@ Run:  python examples/paged_vs_reserved.py
 """
 
 from repro.analysis.cluster_sweep import reservation_sweep
-from repro.api import PodGroup, Scenario
+from repro.api import PodGroup, Scenario, TrafficSpec
 from repro.models import LLAMA3_70B
-from repro.serving import RequestGenerator, Reservation, reasoning_traffic
+from repro.serving import Reservation, reasoning_traffic
 
 KV_BUDGET_GB = 3.0
 
 
 def main() -> None:
-    traffic = RequestGenerator(
-        classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0
+    traffic = TrafficSpec(
+        classes=(reasoning_traffic(LLAMA3_70B),),
+        rate_rps=2.0,
+        seed=0,
+        duration_s=30.0,
     )
-    requests = traffic.generate(30.0)
+    requests = traffic.requests(LLAMA3_70B)
     print(
         f"Traffic: {len(requests)} reasoning queries over 30 s, one RPU "
         f"decode pod, KV budget pinned to {KV_BUDGET_GB:.0f} GB\n"

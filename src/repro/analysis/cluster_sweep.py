@@ -23,7 +23,7 @@ the fully overridden :class:`~repro.api.Scenario` that produced the
 - An axis is a list of override mappings.  One mapping may set several
   ``Scenario`` fields at once (a colocated GPU pool against an ISO-TDP
   RPU pool is two fields); ``traffic.<field>`` keys override
-  :class:`~repro.api.TrafficSpec` fields.
+  :class:`~repro.serving.requests.TrafficSpec` fields.
 - Points run in :func:`itertools.product` order, first axis outermost.
 - Consecutive points with equal traffic share one generated request
   list, so the fleets they compare see identical arrivals.  Seeds are a
@@ -94,7 +94,8 @@ def sweep(base: Scenario, *axes: Sequence[Mapping[str, object]]) -> Rows:
 
     Every point is built before the first one simulates, so a misspelt
     field raises ``TypeError`` (naming it) up front, and an incoherent
-    knob value raises the ``ValueError`` that names its field.
+    knob value -- a serving knob or a ``traffic.<field>`` one -- raises
+    the ``ValueError`` that names its field.
     """
     points = [_apply(base, combo) for combo in itertools.product(*axes)]
     rows: Rows = []

@@ -33,19 +33,20 @@ tool-call pauses plus self-consistency fan-out, ready for a
 :func:`scenario`, or register your own with :func:`register_scenario`
 (mirroring :func:`repro.platform.register_platform`).
 
-A :class:`TrafficSpec` is either one flat mix (the ergonomic
-single-tenant path -- unchanged) or a roster of
-:class:`~repro.serving.tenancy.TenantSpec` rows, each carrying its own
-nested ``TrafficSpec``, SLO class, priority and admission weight; each
-tenant's stream generates independently (own seed, own trace) and the
-fleet sees the merged arrival order.  Arrivals can replay an
-:class:`~repro.serving.requests.ArrivalTrace` (JSON/CSV file, diurnal
-or flash-crowd shape) instead of the Poisson/bursty samplers.
+Traffic is a :class:`~repro.serving.requests.TrafficSpec` (re-exported
+here): either one flat mix (the ergonomic single-tenant path) or a
+roster of :class:`~repro.serving.tenancy.TenantSpec` rows, each
+carrying its own nested ``TrafficSpec``, SLO class, priority and
+admission weight; each tenant's stream generates independently (own
+seed, own trace) and the fleet sees the merged arrival order.  Arrivals
+can replay an :class:`~repro.serving.requests.ArrivalTrace` (JSON/CSV
+file, diurnal or flash-crowd shape) instead of the Poisson/bursty
+samplers.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field, fields, replace
+from dataclasses import KW_ONLY, dataclass, field, fields
 from collections.abc import Callable, Mapping
 
 from repro.models.config import ModelConfig
@@ -64,9 +65,7 @@ from repro.serving.requests import (
     ArrivalProcess,
     ArrivalTrace,
     Request,
-    RequestGenerator,
-    TrafficClass,
-    merge_requests,
+    TrafficSpec,
 )
 from repro.serving.scheduler import Policy
 from repro.serving.tenancy import (
@@ -78,161 +77,6 @@ from repro.serving.tenancy import (
     TenantSpec,
 )
 from repro.util.tables import Table
-
-
-# ----------------------------------------------------------------------
-# Traffic
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TrafficSpec:
-    """Offered load: arrival process plus length statistics.
-
-    The mean/sigma knobs describe one log-normal traffic class for the
-    scenario's model; pass explicit ``classes`` to mix several (they
-    override the length knobs entirely).
-    """
-
-    rate_rps: float = 1.0
-    duration_s: float = 30.0
-    process: ArrivalProcess = ArrivalProcess.POISSON
-    seed: int = 0
-    prompt_mean: int = 2048
-    decode_mean: int = 1024
-    prompt_sigma: float = 0.6
-    decode_sigma: float = 0.6
-    priority: int = 0
-    #: Priority *mix*: when non-empty, the single traffic class is
-    #: split into one equal-weight copy per listed priority (so the
-    #: PRIORITY prefill policy and the paged preempter have contrast to
-    #: act on).  Overrides :attr:`priority`; ignored with explicit
-    #: ``classes``.
-    priorities: tuple[int, ...] = ()
-    burst_factor: float = 4.0
-    burst_dwell_s: float = 5.0
-    #: Shared-prefix structure (see :class:`TrafficClass`): probability
-    #: an arrival joins the open prefix group, group size, and the
-    #: shared fraction of the founder's prompt.  0.0 disables sharing.
-    prefix_share_prob: float = 0.0
-    prefix_fanout: int = 8
-    prefix_frac: float = 0.5
-    #: Reasoning / test-time-scaling structure (see
-    #: :class:`TrafficClass`): multi-turn chain-of-thought decode bursts
-    #: separated by tool-call pauses of log-normal think time, and
-    #: self-consistency fan-out (``n`` samples sharing the full prompt
-    #: as one prefix group).  Defaults (1, 1) leave the stream
-    #: byte-identical to plain traffic.
-    cot_turns: int = 1
-    think_time_mean_s: float = 2.0
-    think_time_sigma: float = 0.6
-    self_consistency_n: int = 1
-    classes: tuple[TrafficClass, ...] | None = None
-    #: Replay this arrival schedule instead of sampling Poisson/bursty
-    #: arrivals (``duration_s`` and ``rate_rps`` are then ignored for
-    #: timing; lengths the trace leaves unspecified still come from the
-    #: class statistics above).
-    trace: ArrivalTrace | None = None
-    #: Multi-tenant form: when non-empty, this spec is purely a roster
-    #: -- each tenant's own nested ``TrafficSpec`` generates its stream
-    #: (own seed/trace/lengths), requests are tagged with the tenant's
-    #: name and priority offset, and the fleet sees the merged arrival
-    #: order.  The flat single-mix knobs above are the one-tenant
-    #: shorthand for the same thing (and stay byte-identical to the
-    #: pre-tenancy generator -- no merge, no tagging).
-    tenants: tuple[TenantSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.tenants:
-            return
-        names = [tenant.name for tenant in self.tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"tenant names must be unique, got {names}")
-        if any(not name for name in names):
-            raise ValueError(
-                "roster tenants need non-empty names (the empty name is "
-                "the anonymous single-tenant default)"
-            )
-        for tenant in self.tenants:
-            if not isinstance(tenant.traffic, TrafficSpec):
-                raise ValueError(
-                    f"tenant {tenant.name!r} needs a TrafficSpec as its "
-                    f"traffic, got {tenant.traffic!r}"
-                )
-            if tenant.traffic.tenants:
-                raise ValueError(
-                    f"tenant {tenant.name!r} nests its own tenants; "
-                    "rosters are one level deep"
-                )
-        if self.trace is not None:
-            raise ValueError(
-                "a tenant roster cannot carry a top-level trace; give "
-                "each tenant's TrafficSpec its own"
-            )
-
-    def as_tenants(self) -> tuple[TenantSpec, ...]:
-        """The roster this spec denotes: its ``tenants``, or the flat
-        mix wrapped as one default tenant (the degenerate one-tenant
-        mapping the flat signature is shorthand for)."""
-        if self.tenants:
-            return self.tenants
-        return (TenantSpec("", traffic=self),)
-
-    def traffic_classes(self, model: ModelConfig) -> tuple[TrafficClass, ...]:
-        if self.classes is not None:
-            return self.classes
-        priorities = self.priorities or (self.priority,)
-        return tuple(
-            TrafficClass(
-                model,
-                prompt_mean=self.prompt_mean,
-                decode_mean=self.decode_mean,
-                prompt_sigma=self.prompt_sigma,
-                decode_sigma=self.decode_sigma,
-                priority=priority,
-                prefix_share_prob=self.prefix_share_prob,
-                prefix_fanout=self.prefix_fanout,
-                prefix_frac=self.prefix_frac,
-                cot_turns=self.cot_turns,
-                think_time_mean_s=self.think_time_mean_s,
-                think_time_sigma=self.think_time_sigma,
-                self_consistency_n=self.self_consistency_n,
-            )
-            for priority in priorities
-        )
-
-    def generator(self, model: ModelConfig) -> RequestGenerator:
-        return RequestGenerator(
-            classes=self.traffic_classes(model),
-            rate_rps=self.rate_rps,
-            process=self.process,
-            seed=self.seed,
-            burst_factor=self.burst_factor,
-            burst_dwell_s=self.burst_dwell_s,
-        )
-
-    def _stream(self, model: ModelConfig) -> list[Request]:
-        """One flat mix's request stream (trace replay or sampled)."""
-        generator = self.generator(model)
-        if self.trace is not None:
-            return generator.replay(self.trace)
-        return generator.generate(self.duration_s)
-
-    def requests(self, model: ModelConfig) -> list[Request]:
-        if not self.tenants:
-            # The single-mix path stays byte-identical to the
-            # pre-tenancy generator: no tagging, no merge/renumber.
-            return self._stream(model)
-        streams = [
-            [
-                replace(
-                    request,
-                    tenant=tenant.name,
-                    priority=request.priority + tenant.priority,
-                )
-                for request in tenant.traffic._stream(model)
-            ]
-            for tenant in self.tenants
-        ]
-        return merge_requests(*streams)
 
 
 # ----------------------------------------------------------------------

@@ -56,9 +56,10 @@ from repro.serving.requests import (
     ArrivalProcess,
     ArrivalTrace,
     Request,
-    RequestGenerator,
+    RequestShape,
     TraceRow,
     TrafficClass,
+    TrafficSpec,
     merge_requests,
     prefix_founders,
     reasoning_traffic,
@@ -118,12 +119,13 @@ __all__ = [
     "PurityViolation",
     "QueryResult",
     "Request",
-    "RequestGenerator",
+    "RequestShape",
     "Reservation",
     "ServingOptions",
     "SimulationStalled",
     "SwapPolicy",
     "TrafficClass",
+    "TrafficSpec",
     "prefix_founders",
     "reasoning_traffic",
     "report_digest",

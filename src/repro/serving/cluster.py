@@ -133,6 +133,7 @@ from repro.serving.tenancy import (
     SloClass,
     TenantReport,
     TenantSpec,
+    check_roster_names,
 )
 from repro.serving.tenancy import fairness as _attainment_fairness
 from repro.specdec.fleet import SpecDecConfig
@@ -598,14 +599,7 @@ class ClusterConfig(ServingOptions):
                 "platform ingest rate, float('inf') = colocated), got "
                 f"{self.kv_transfer_bytes_per_s}"
             )
-        names = [tenant.name for tenant in self.tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"tenant names must be unique, got {names}")
-        if any(not name for name in names):
-            raise ValueError(
-                "roster tenants need non-empty names (the empty name is "
-                "the anonymous single-tenant default)"
-            )
+        check_roster_names(self.tenants)
         super().__post_init__()
 
 

@@ -2,9 +2,12 @@
 
 A serving fleet sees a *stream* of queries, not one workload: arrivals
 cluster (diurnal bursts, agentic fan-out), prompt and reasoning lengths
-vary by orders of magnitude, and traffic mixes several models.  This
-module turns those statistics into a concrete, seeded, replayable list of
-:class:`Request` objects that :mod:`repro.serving.cluster` consumes.
+vary by orders of magnitude, and traffic mixes several models.  A
+:class:`TrafficSpec` declares those statistics -- an arrival process
+plus a :class:`RequestShape`, a mix of :class:`TrafficClass` rows, or a
+tenant roster -- and :meth:`TrafficSpec.requests` turns them into a
+concrete, seeded, replayable list of :class:`Request` objects that
+:mod:`repro.serving.cluster` consumes.
 
 Two arrival processes are modeled:
 
@@ -18,13 +21,13 @@ Two arrival processes are modeled:
 Arrivals can also come from an :class:`ArrivalTrace` -- a replayable
 schedule loaded from a JSON/CSV trace file or synthesized by the
 :meth:`ArrivalTrace.diurnal` / :meth:`ArrivalTrace.flash_crowd`
-generators (non-homogeneous Poisson via thinning) -- which
-:meth:`RequestGenerator.replay` turns into requests, sampling any
-lengths the trace leaves unspecified.  Multi-tenant traffic merges one
-stream per tenant with :func:`merge_requests`.
+generators (non-homogeneous Poisson via thinning) -- which a
+``TrafficSpec(trace=...)`` replays, sampling any lengths the trace
+leaves unspecified.  Multi-tenant traffic merges one stream per tenant
+with :func:`merge_requests`.
 
 Traffic can carry **shared-prefix structure**: with
-``TrafficClass.prefix_share_prob`` set, arrivals join prefix groups
+``RequestShape.prefix_share_prob`` set, arrivals join prefix groups
 (same ``Request.prefix_id``, identical first ``prefix_len`` prompt
 tokens -- agentic fan-out sub-queries, shared system prompts) that a
 prefix-caching KV store (:mod:`repro.serving.kvstore`) can serve from
@@ -36,23 +39,26 @@ rather than clamping them -- clamping piles probability mass onto the
 bounds and silently shifts the realized mean.  The realized mean is the
 truncated-lognormal mean, which :func:`truncated_lognormal_mean`
 computes exactly so offered token load stays auditable.  All randomness
-flows through one ``random.Random(seed)`` so a generator is fully
-deterministic given its configuration.
+flows through one ``random.Random(seed)`` so a :class:`TrafficSpec` is
+fully deterministic given its configuration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterable
+from dataclasses import KW_ONLY, dataclass, fields, replace
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from repro.models.config import ModelConfig
 from repro.models.dtypes import DType
 from repro.models.workload import Workload
+from repro.serving.tenancy import TenantSpec, check_roster_names
 from repro.util.stats import left_sum
 
 
@@ -224,29 +230,21 @@ def prefix_founders(requests: Iterable[Request]) -> set[int]:
     return founders
 
 
-@dataclass(frozen=True)
-class TrafficClass:
-    """One model's share of the fleet traffic and its length statistics.
-
-    ``prompt_mean``/``decode_mean`` are the means of the *untruncated*
-    log-normal length distributions.  Out-of-bounds draws are resampled,
-    so the realized mean is the truncated-lognormal mean --
-    :attr:`expected_prompt_len` / :attr:`expected_decode_len` -- and the
-    offered token load is ``rate_rps * expected_decode_len`` (slightly
-    below ``rate_rps * decode_mean`` when the bounds are tight).
+@dataclass(frozen=True, kw_only=True)
+class RequestShape:
+    """What a traffic mix's requests look like: log-normal lengths,
+    priority, shared-prefix and reasoning structure.  Declared, defaulted
+    and checked once here for :class:`TrafficClass` (one model's share
+    of a mix) and :class:`TrafficSpec` (a whole offered load); every
+    knob is keyword-only.
     """
 
-    model: ModelConfig
-    weight: float = 1.0
     prompt_mean: int = 2048
     decode_mean: int = 1024
     prompt_sigma: float = 0.6  # log-space spread of the log-normal
     decode_sigma: float = 0.6
-    min_len: int = 16
-    max_prompt: int = 16384
-    max_decode: int = 8192
-    #: Priority stamped on every request of this class (paged-KV
-    #: preemption evicts the lowest priority first).
+    #: Priority stamped on every request (paged-KV preemption evicts
+    #: the lowest priority first).
     priority: int = 0
     #: Shared-prefix structure: with probability ``prefix_share_prob``
     #: an arrival joins the class's open prefix group (same
@@ -276,10 +274,6 @@ class TrafficClass:
     self_consistency_n: int = 1
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
-        if self.prompt_mean < self.min_len or self.decode_mean < self.min_len:
-            raise ValueError("mean lengths must be >= min_len")
         if not 0.0 <= self.prefix_share_prob <= 1.0:
             raise ValueError("prefix_share_prob must be in [0, 1]")
         if self.prefix_fanout < 1:
@@ -296,6 +290,33 @@ class TrafficClass:
             raise ValueError(
                 f"self_consistency_n must be >= 1, got {self.self_consistency_n}"
             )
+
+
+@dataclass(frozen=True)
+class TrafficClass(RequestShape):
+    """One model's share of the fleet traffic and its length statistics.
+
+    ``prompt_mean``/``decode_mean`` are the means of the *untruncated*
+    log-normal length distributions.  Out-of-bounds draws are resampled,
+    so the realized mean is the truncated-lognormal mean --
+    :attr:`expected_prompt_len` / :attr:`expected_decode_len` -- and the
+    offered token load is ``rate_rps * expected_decode_len`` (slightly
+    below ``rate_rps * decode_mean`` when the bounds are tight).
+    """
+
+    model: ModelConfig
+    _: KW_ONLY
+    weight: float = 1.0
+    min_len: int = 16
+    max_prompt: int = 16384
+    max_decode: int = 8192
+
+    def __post_init__(self) -> None:
+        if self.weight <= 0:
+            raise ValueError(f"weight must be > 0, got {self.weight}")
+        if self.prompt_mean < self.min_len or self.decode_mean < self.min_len:
+            raise ValueError("mean lengths must be >= min_len")
+        super().__post_init__()
 
     @property
     def expected_prompt_len(self) -> float:
@@ -326,7 +347,7 @@ class TraceRow:
     """One arrival in an :class:`ArrivalTrace`.
 
     Only the timestamp is mandatory; lengths left ``None`` are sampled
-    from the replaying generator's traffic classes, so a
+    from the replaying :class:`TrafficSpec`'s traffic classes, so a
     timestamps-only production trace still exercises realistic length
     distributions.
     """
@@ -370,13 +391,13 @@ class ArrivalTrace:
     """A replayable open-loop arrival schedule.
 
     Traces decouple *when* requests arrive from *what* they look like:
-    :meth:`RequestGenerator.replay` walks the rows, fills in lengths
-    the trace leaves unspecified from its traffic classes, and returns
-    ordinary :class:`Request` objects.  Load from production logs with
-    :meth:`from_json` / :meth:`from_csv`, or synthesize the two shapes
-    Poisson can't express -- :meth:`diurnal` (sinusoidal day/night
-    swing) and :meth:`flash_crowd` (a rectangular rate spike, the
-    load-shedding stress test).
+    a :class:`TrafficSpec` with ``trace=`` walks the rows, fills in
+    lengths the trace leaves unspecified from its traffic classes, and
+    returns ordinary :class:`Request` objects.  Load from production
+    logs with :meth:`from_json` / :meth:`from_csv`, or synthesize the
+    two shapes Poisson can't express -- :meth:`diurnal` (sinusoidal
+    day/night swing) and :meth:`flash_crowd` (a rectangular rate spike,
+    the load-shedding stress test).
 
     Rows must be time-ordered: a non-monotone trace almost always means
     a corrupted or mis-sorted log, so it is rejected loudly (with the
@@ -433,37 +454,21 @@ class ArrivalTrace:
                 raise ValueError(
                     f"{path}: row {index} must be an object with arrival_s"
                 )
-            rows.append(
-                TraceRow(
-                    arrival_s=float(entry["arrival_s"]),
-                    prompt_len=_opt_int(entry.get("prompt_len")),
-                    decode_len=_opt_int(entry.get("decode_len")),
-                    priority=_opt_int(entry.get("priority")),
-                )
-            )
+            rows.append(_trace_row(path, index, entry))
         return cls(tuple(rows))
 
     @classmethod
     def from_csv(cls, path: str) -> "ArrivalTrace":
         """Load a trace from a CSV file with an ``arrival_s,prompt_len,
         decode_len[,priority]`` header; empty cells mean "sample it"."""
-        rows = []
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or "arrival_s" not in reader.fieldnames:
                 raise ValueError(f"{path}: trace CSV needs an arrival_s column")
-            for index, entry in enumerate(reader):
-                value = (entry.get("arrival_s") or "").strip()
-                if not value:
-                    raise ValueError(f"{path}: row {index} missing arrival_s")
-                rows.append(
-                    TraceRow(
-                        arrival_s=float(value),
-                        prompt_len=_opt_int(entry.get("prompt_len")),
-                        decode_len=_opt_int(entry.get("decode_len")),
-                        priority=_opt_int(entry.get("priority")),
-                    )
-                )
+            rows = [
+                _trace_row(path, index, entry)
+                for index, entry in enumerate(reader)
+            ]
         return cls(tuple(rows))
 
     @classmethod
@@ -534,13 +539,40 @@ class ArrivalTrace:
         return cls.from_times(times)
 
 
-def _opt_int(value: object) -> int | None:
-    """Coerce an optional JSON/CSV cell to int (None/"" pass through)."""
-    if value is None:
+def _trace_row(path: str, index: int, cells: Mapping[str, object]) -> TraceRow:
+    """Row ``index`` of trace file ``path`` from its JSON object or CSV
+    record.  Absent or blank cells mean "sample it"; a malformed cell
+    raises a ``ValueError`` naming the file, the row and the column."""
+    arrival_s, *counts = (
+        _trace_cell(path, index, column, cells.get(column))
+        for column in ("arrival_s", "prompt_len", "decode_len", "priority")
+    )
+    if arrival_s is None:
+        raise ValueError(f"{path}: row {index} missing arrival_s")
+    try:
+        return TraceRow(arrival_s, *(None if n is None else int(n) for n in counts))
+    except ValueError as error:
+        raise ValueError(f"{path}: row {index}: {error}") from None
+
+
+def _trace_cell(path: str, index: int, column: str, value: object) -> float | None:
+    """A JSON number or numeric CSV text, integral (``3``, ``3.0``) in
+    every column but ``arrival_s``; ``None`` when absent or blank."""
+    if value is None or (isinstance(value, str) and not value.strip()):
         return None
-    if isinstance(value, str) and not value.strip():
-        return None
-    return int(value)
+    number: float | None = None
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            number = float(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+    integral = column != "arrival_s"
+    if number is None or (integral and not number.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ValueError(
+            f"{path}: row {index} column {column} must be {kind}, got {value!r}"
+        )
+    return number
 
 
 def merge_requests(*streams: Iterable[Request]) -> list[Request]:
@@ -565,30 +597,105 @@ def merge_requests(*streams: Iterable[Request]) -> list[Request]:
     ]
 
 
-@dataclass(frozen=True)
-class RequestGenerator:
-    """Seeded open-loop traffic source.
+@dataclass(frozen=True, kw_only=True)
+class TrafficSpec(RequestShape):
+    """Offered load -- the one way to declare traffic.
 
-    ``rate_rps`` is the average arrival rate across the whole mix; each
-    arrival picks a :class:`TrafficClass` with probability proportional
-    to its weight and samples lengths from that class.
+    ``rate_rps`` is the average arrival rate across the whole mix.  The
+    inherited :class:`RequestShape` knobs describe one traffic class of
+    the model given to :meth:`requests`; explicit ``classes`` override
+    them, each arrival picking a class with probability proportional to
+    its weight.  Every knob is keyword-only and checked at construction.
     """
 
-    classes: tuple[TrafficClass, ...]
     rate_rps: float = 1.0
+    duration_s: float = 30.0
     process: ArrivalProcess = ArrivalProcess.POISSON
     seed: int = 0
+    #: Priority *mix*: when non-empty, the single traffic class is
+    #: split into one equal-weight copy per listed priority (so the
+    #: PRIORITY prefill policy and the paged preempter have contrast to
+    #: act on).  Overrides :attr:`priority`; ignored with explicit
+    #: ``classes``.
+    priorities: tuple[int, ...] = ()
     #: Bursty process: busy-state rate multiplier and mean state dwell time.
     burst_factor: float = 4.0
     burst_dwell_s: float = 5.0
+    classes: tuple[TrafficClass, ...] | None = None
+    #: Replay this arrival schedule instead of sampling Poisson/bursty
+    #: arrivals (``duration_s`` and ``rate_rps`` are then ignored for
+    #: timing; lengths the trace leaves unspecified still come from the
+    #: class statistics above).
+    trace: ArrivalTrace | None = None
+    #: Multi-tenant form: when non-empty, this spec is purely a roster
+    #: -- each tenant's own nested ``TrafficSpec`` generates its stream
+    #: (own seed/trace/lengths), requests are tagged with the tenant's
+    #: name and priority offset, and the fleet sees the merged arrival
+    #: order.  The flat single-mix knobs above are the one-tenant
+    #: shorthand for the same thing (and stay byte-identical to the
+    #: pre-tenancy generator -- no merge, no tagging).
+    tenants: tuple[TenantSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.classes:
-            raise ValueError("need at least one traffic class")
-        if self.rate_rps <= 0:
+        super().__post_init__()
+        if self.classes is not None and not self.classes:
+            raise ValueError("classes needs at least one traffic class")
+        if not self.rate_rps > 0:
             raise ValueError(f"rate_rps must be > 0, got {self.rate_rps}")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
+        if not self.duration_s > 0:
+            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if not self.burst_factor >= 1.0:
+            raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
+        if not self.tenants:
+            return
+        check_roster_names(self.tenants)
+        for tenant in self.tenants:
+            if not isinstance(tenant.traffic, TrafficSpec):
+                raise ValueError(
+                    f"tenant {tenant.name!r} needs a TrafficSpec as its "
+                    f"traffic, got {tenant.traffic!r}"
+                )
+            if tenant.traffic.tenants:
+                raise ValueError(
+                    f"tenant {tenant.name!r} nests its own tenants; "
+                    "rosters are one level deep"
+                )
+        if self.trace is not None:
+            raise ValueError(
+                "a tenant roster cannot carry a top-level trace; give "
+                "each tenant's TrafficSpec its own"
+            )
+
+    def traffic_classes(self, model: ModelConfig) -> tuple[TrafficClass, ...]:
+        """``classes``, or one ``model`` class with this spec's shape
+        knobs per entry of ``priorities``."""
+        if self.classes is not None:
+            return self.classes
+        shape = {f.name: getattr(self, f.name) for f in fields(RequestShape)}
+        return tuple(
+            TrafficClass(model, **{**shape, "priority": priority})
+            for priority in self.priorities or (self.priority,)
+        )
+
+    def requests(self, model: ModelConfig) -> list[Request]:
+        """The seeded, replayable request stream, sorted by arrival
+        (``model`` is ignored with explicit ``classes``)."""
+        if not self.tenants:
+            # The single-mix path stays byte-identical to the
+            # pre-tenancy generator: no tagging, no merge/renumber.
+            return self._stream(model)
+        streams = [
+            [
+                replace(
+                    request,
+                    tenant=tenant.name,
+                    priority=request.priority + tenant.priority,
+                )
+                for request in tenant.traffic._stream(model)
+            ]
+            for tenant in self.tenants
+        ]
+        return merge_requests(*streams)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -597,6 +704,80 @@ class RequestGenerator:
     #: falling back to a clamp (keeps sampling O(1) worst-case; with
     #: sane bounds the fallback probability is p_out**8, i.e. nil).
     MAX_LENGTH_RESAMPLES = 8
+
+    def _stream(self, model: ModelConfig) -> list[Request]:
+        """One flat mix's requests: the trace's rows, or arrivals
+        sampled in ``[0, duration_s)``, each through the same loop.
+
+        RNG order: every sampled arrival time first; then per arrival
+        its class, the lengths the row leaves unset and the prefix-group
+        draw; then per sample a sibling's decode re-draw and CoT turns.
+        """
+        classes = self.traffic_classes(model)
+        total_weight = left_sum(cls.weight for cls in classes)
+        rng = random.Random(self.seed)
+        # (arrival_s, prompt_len, decode_len, priority); None = sample it.
+        rows: list[tuple[float, int | None, int | None, int | None]]
+        if self.trace is not None:
+            rows = [
+                (row.arrival_s, row.prompt_len, row.decode_len, row.priority)
+                for row in self.trace.rows
+            ]
+        else:
+            rows = [(t, None, None, None) for t in self._arrival_times(rng)]
+        requests: list[Request] = []
+        open_groups: dict[int, tuple[int, int, int]] = {}
+        group_ids = itertools.count()
+        for arrival_s, prompt, decode, priority in rows:
+            cls = self._pick_class(rng, classes, total_weight)
+            if prompt is None:
+                prompt = self._sample_length(
+                    rng, cls.prompt_mean, cls.prompt_sigma, cls.min_len, cls.max_prompt
+                )
+            if decode is None:
+                decode = self._sample_length(
+                    rng, cls.decode_mean, cls.decode_sigma, cls.min_len, cls.max_decode
+                )
+            if priority is None:
+                priority = cls.priority
+            prefix_id: int | None = None
+            prefix_len = 0
+            if cls.self_consistency_n > 1:
+                # The fan-out shares the whole prompt as a fresh prefix
+                # group, overriding prefix_share_prob assignment.
+                prefix_id, prefix_len = next(group_ids), prompt
+            elif cls.prefix_share_prob > 0.0:
+                prefix_id, prefix_len = self._assign_prefix(
+                    rng, open_groups, cls, prompt, group_ids
+                )
+            for sample in range(cls.self_consistency_n):
+                sample_decode = decode
+                if sample > 0:
+                    # Siblings re-draw their own decode shape: the samples
+                    # share a prompt, not a chain of thought.
+                    sample_decode = self._sample_length(
+                        rng, cls.decode_mean, cls.decode_sigma,
+                        cls.min_len, cls.max_decode,
+                    )
+                pauses: tuple[tuple[int, float], ...] = ()
+                if cls.cot_turns > 1:
+                    sample_decode, pauses = self._reasoning_shape(
+                        rng, cls, sample_decode
+                    )
+                requests.append(
+                    Request(
+                        request_id=len(requests),
+                        arrival_s=arrival_s,
+                        model=cls.model,
+                        prompt_len=prompt,
+                        decode_len=sample_decode,
+                        priority=priority,
+                        prefix_id=prefix_id,
+                        prefix_len=prefix_len,
+                        tool_pauses=pauses,
+                    )
+                )
+        return requests
 
     def _sample_length(
         self, rng: random.Random, mean: int, sigma: float, lo: int, hi: int
@@ -615,23 +796,25 @@ class RequestGenerator:
                 return value
         return max(lo, min(value, hi))
 
-    def _pick_class(self, rng: random.Random) -> TrafficClass:
-        total = left_sum(c.weight for c in self.classes)
-        mark = rng.random() * total
+    @staticmethod
+    def _pick_class(
+        rng: random.Random, classes: tuple[TrafficClass, ...], total_weight: float
+    ) -> TrafficClass:
+        mark = rng.random() * total_weight
         acc = 0.0
-        for cls in self.classes:
+        for cls in classes:
             acc += cls.weight
             if mark <= acc:
                 return cls
-        return self.classes[-1]
+        return classes[-1]
 
-    def _arrival_times(self, rng: random.Random, duration_s: float) -> list[float]:
+    def _arrival_times(self, rng: random.Random) -> list[float]:
         times: list[float] = []
         now = 0.0
         if self.process is ArrivalProcess.POISSON:
             while True:
                 now += rng.expovariate(self.rate_rps)
-                if now >= duration_s:
+                if now >= self.duration_s:
                     return times
                 times.append(now)
         # Bursty: two-state MMPP with the same average rate.  Busy-state
@@ -641,7 +824,7 @@ class RequestGenerator:
         busy_rate = quiet_rate * self.burst_factor
         busy = bool(rng.getrandbits(1))
         state_end = rng.expovariate(1.0 / self.burst_dwell_s)
-        while now < duration_s:
+        while now < self.duration_s:
             rate = busy_rate if busy else quiet_rate
             step = rng.expovariate(rate)
             if now + step > state_end:
@@ -650,21 +833,17 @@ class RequestGenerator:
                 state_end = now + rng.expovariate(1.0 / self.burst_dwell_s)
                 continue
             now += step
-            if now < duration_s:
+            if now < self.duration_s:
                 times.append(now)
         return times
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
+    @staticmethod
     def _assign_prefix(
-        self,
         rng: random.Random,
-        groups: dict[int, tuple[int, int, int]],
-        class_index: int,
+        open_groups: dict[int, tuple[int, int, int]],
         cls: TrafficClass,
         prompt_len: int,
-        next_group: list[int],
+        group_ids: Iterator[int],
     ) -> tuple[int | None, int]:
         """Prefix-group assignment for one arrival of ``cls``.
 
@@ -672,24 +851,24 @@ class RequestGenerator:
         class's open group (sharing its prefix, capped at the member's
         own prompt); otherwise -- or once the group has fanned out
         ``prefix_fanout`` members -- it founds a new group whose shared
-        prefix is ``prefix_frac`` of its own prompt.  Only called when
-        sharing is enabled, so the disabled path consumes no RNG.
+        prefix is ``prefix_frac`` of its own prompt.  ``open_groups`` is
+        keyed by class identity.  Only called when sharing is enabled,
+        so the disabled path consumes no RNG.
         """
-        open_group = groups.get(class_index)
+        open_group = open_groups.get(id(cls))
         if open_group is not None and rng.random() < cls.prefix_share_prob:
             group_id, prefix_len, members = open_group
             members += 1
             if members >= cls.prefix_fanout:
-                del groups[class_index]
+                del open_groups[id(cls)]
             else:
-                groups[class_index] = (group_id, prefix_len, members)
+                open_groups[id(cls)] = (group_id, prefix_len, members)
             return group_id, min(prefix_len, prompt_len)
-        group_id = next_group[0]
-        next_group[0] += 1
+        group_id = next(group_ids)
         prefix_len = round(cls.prefix_frac * prompt_len)
         if prefix_len < 1:
             return None, 0
-        groups[class_index] = (group_id, prefix_len, 1)
+        open_groups[id(cls)] = (group_id, prefix_len, 1)
         return group_id, prefix_len
 
     def _reasoning_shape(
@@ -717,135 +896,3 @@ class RequestGenerator:
             done += turn
             pauses.append((done, rng.lognormvariate(mu, sigma)))
         return sum(turns), tuple(pauses)
-
-    def _emit_arrival(
-        self,
-        requests: list[Request],
-        rng: random.Random,
-        request_id: int,
-        arrival_s: float,
-        cls: TrafficClass,
-        prompt: int,
-        decode: int,
-        prefix_id: int | None,
-        prefix_len: int,
-        next_group: list[int],
-        priority: int,
-    ) -> int:
-        """Emit one logical arrival (1 request, or ``self_consistency_n``
-        fan-out samples sharing the full prompt); returns the next free
-        request id.  With every reasoning knob at its default this
-        appends exactly the one request the pre-reasoning generator
-        built, consuming no extra RNG.
-        """
-        if cls.self_consistency_n > 1:
-            # The fan-out shares the whole prompt as a fresh prefix
-            # group (overriding any prefix_share_prob assignment -- the
-            # caller skips it for fan-out classes).
-            prefix_id = next_group[0]
-            next_group[0] += 1
-            prefix_len = prompt
-        for sample in range(cls.self_consistency_n):
-            sample_decode = decode
-            if sample > 0:
-                # Siblings re-draw their own decode shape: the samples
-                # share a prompt, not a chain of thought.
-                sample_decode = self._sample_length(
-                    rng, cls.decode_mean, cls.decode_sigma,
-                    cls.min_len, cls.max_decode,
-                )
-            pauses: tuple[tuple[int, float], ...] = ()
-            if cls.cot_turns > 1:
-                sample_decode, pauses = self._reasoning_shape(
-                    rng, cls, sample_decode
-                )
-            requests.append(
-                Request(
-                    request_id=request_id,
-                    arrival_s=arrival_s,
-                    model=cls.model,
-                    prompt_len=prompt,
-                    decode_len=sample_decode,
-                    priority=priority,
-                    prefix_id=prefix_id,
-                    prefix_len=prefix_len,
-                    tool_pauses=pauses,
-                )
-            )
-            request_id += 1
-        return request_id
-
-    def generate(self, duration_s: float) -> list[Request]:
-        """All requests arriving in ``[0, duration_s)``, sorted by time."""
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {duration_s}")
-        rng = random.Random(self.seed)
-        requests: list[Request] = []
-        groups: dict[int, tuple[int, int, int]] = {}
-        next_group = [0]
-        class_index = {id(cls): i for i, cls in enumerate(self.classes)}
-        request_id = 0
-        for arrival in self._arrival_times(rng, duration_s):
-            cls = self._pick_class(rng)
-            prompt = self._sample_length(
-                rng, cls.prompt_mean, cls.prompt_sigma, cls.min_len, cls.max_prompt
-            )
-            decode = self._sample_length(
-                rng, cls.decode_mean, cls.decode_sigma, cls.min_len, cls.max_decode
-            )
-            prefix_id: int | None = None
-            prefix_len = 0
-            if cls.self_consistency_n <= 1 and cls.prefix_share_prob > 0.0:
-                prefix_id, prefix_len = self._assign_prefix(
-                    rng, groups, class_index[id(cls)], cls, prompt, next_group
-                )
-            request_id = self._emit_arrival(
-                requests, rng, request_id, arrival, cls, prompt, decode,
-                prefix_id, prefix_len, next_group, cls.priority,
-            )
-        return requests
-
-    def replay(self, trace: ArrivalTrace) -> list[Request]:
-        """Replay an :class:`ArrivalTrace`: arrivals come from the trace
-        rows; class choice and any lengths the trace leaves ``None``
-        are sampled exactly as :meth:`generate` would (same seeded RNG
-        discipline, same prefix-group machinery).  A fully-specified
-        trace is deterministic modulo class choice; a timestamps-only
-        trace replays the schedule with this generator's length mix.
-        """
-        rng = random.Random(self.seed)
-        requests: list[Request] = []
-        groups: dict[int, tuple[int, int, int]] = {}
-        next_group = [0]
-        class_index = {id(cls): i for i, cls in enumerate(self.classes)}
-        request_id = 0
-        for row in trace.rows:
-            cls = self._pick_class(rng)
-            prompt = (
-                row.prompt_len
-                if row.prompt_len is not None
-                else self._sample_length(
-                    rng, cls.prompt_mean, cls.prompt_sigma,
-                    cls.min_len, cls.max_prompt,
-                )
-            )
-            decode = (
-                row.decode_len
-                if row.decode_len is not None
-                else self._sample_length(
-                    rng, cls.decode_mean, cls.decode_sigma,
-                    cls.min_len, cls.max_decode,
-                )
-            )
-            prefix_id: int | None = None
-            prefix_len = 0
-            if cls.self_consistency_n <= 1 and cls.prefix_share_prob > 0.0:
-                prefix_id, prefix_len = self._assign_prefix(
-                    rng, groups, class_index[id(cls)], cls, prompt, next_group
-                )
-            request_id = self._emit_arrival(
-                requests, rng, request_id, row.arrival_s, cls, prompt, decode,
-                prefix_id, prefix_len, next_group,
-                row.priority if row.priority is not None else cls.priority,
-            )
-        return requests

@@ -39,7 +39,7 @@ the simulator is bit-identical to the single-tenant fleet it grew from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 
@@ -101,9 +101,9 @@ class TenantSpec:
     """One tenant: its traffic, SLO class, priority, and admission
     weight.
 
-    ``traffic`` is a :class:`repro.api.TrafficSpec` (typed loosely to
-    keep this module import-light; anything with a
-    ``requests(model)`` method works).  ``priority`` is *added* to the
+    ``traffic`` is the tenant's
+    :class:`~repro.serving.requests.TrafficSpec` (typed loosely because
+    that module imports this one).  ``priority`` is *added* to the
     priority of every request the tenant generates (the paged preempter
     and the PRIORITY prefill policy act on it); ``weight`` sets the
     tenant's share of the admission token bucket when the fleet sheds
@@ -111,8 +111,9 @@ class TenantSpec:
     push through a saturated fleet.
 
     The empty name is reserved for the *anonymous* default tenant that
-    a flat (single-mix) :class:`repro.api.TrafficSpec` denotes; rosters
-    require every tenant to be named.
+    a flat (single-mix) :class:`~repro.serving.requests.TrafficSpec`
+    denotes; rosters require every tenant to be named
+    (:func:`check_roster_names`).
     """
 
     name: str
@@ -124,6 +125,18 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.weight > 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
+
+
+def check_roster_names(tenants: Iterable[TenantSpec]) -> None:
+    """Reject a tenant roster whose names repeat or are empty."""
+    names = [tenant.name for tenant in tenants]
+    if len(set(names)) != len(names):
+        raise ValueError(f"tenant names must be unique, got {names}")
+    if any(not name for name in names):
+        raise ValueError(
+            "roster tenants need non-empty names (the empty name is "
+            "the anonymous single-tenant default)"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.engine import report_digest
 from repro.serving.kvstore import SwapPolicy
-from repro.serving.requests import RequestGenerator, reasoning_traffic
+from repro.serving.requests import reasoning_traffic
 from repro.serving.scheduler import Policy, Reservation
 from repro.serving.tenancy import AdmissionConfig, AutoscalerConfig, CostModel
 from repro.specdec import SpecDecConfig
@@ -115,10 +115,10 @@ class TestHybridFleets:
 
     @pytest.fixture(scope="class")
     def pressure_traffic(self):
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0
-        )
-        return generator.generate(15.0)
+        return TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0,
+            duration_s=15.0,
+        ).requests(LLAMA3_70B)
 
     def test_rpu_prefill_gpu_decode_conserves_requests(self, pressure_traffic):
         """Inverted fleet under the paged scheduler with a tight budget:
@@ -306,8 +306,15 @@ class TestScenarioValidation:
             lambda config, requests: simulated.append(config),
         )
         base = Scenario(model=LLAMA3_70B, traffic=TrafficSpec(duration_s=4.0))
-        with pytest.raises(ValueError, match="slo_s"):
-            sweep(base, [{"slo_s": 5.0}, {"slo_s": 0.0}])
+        for axis, field in (
+            ([{"slo_s": 5.0}, {"slo_s": 0.0}], "slo_s"),
+            (
+                [{"traffic.seed": 0}, {"traffic.prefix_share_prob": 1.5}],
+                "prefix_share_prob",
+            ),
+        ):
+            with pytest.raises(ValueError, match=field):
+                sweep(base, axis)
         assert simulated == []
 
 

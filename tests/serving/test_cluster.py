@@ -26,8 +26,8 @@ from repro.serving.disaggregated import DisaggregatedSystem
 from repro.serving.engine import report_digest
 from repro.serving.requests import (
     Request,
-    RequestGenerator,
     TrafficClass,
+    TrafficSpec,
     prefix_founders,
     reasoning_traffic,
 )
@@ -44,10 +44,10 @@ def single_pod_config(model, *, num_cus=128, decode_len=2048, seq_len=8192):
 
 @pytest.fixture(scope="module")
 def traffic_70b():
-    generator = RequestGenerator(
-        classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=1.0, seed=11
-    )
-    return generator.generate(15.0)
+    return TrafficSpec(
+        classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=1.0, seed=11,
+        duration_s=15.0,
+    ).requests(LLAMA3_70B)
 
 
 class TestSingleRequestLimit:
@@ -385,10 +385,10 @@ class TestReport:
         assert report.per_tenant() is report.per_tenant()
 
     def test_colocated_gpu_fleet_runs(self):
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=0.5, seed=3
-        )
-        requests = generator.generate(8.0)
+        requests = TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=0.5, seed=3,
+            duration_s=8.0,
+        ).requests(LLAMA3_70B)
         gpu_only = Scenario(
             LLAMA3_70B, decode=(PodGroup("gpu", count=2),), colocated=True
         )
@@ -415,10 +415,10 @@ class TestPagedCluster:
 
     @pytest.fixture(scope="class")
     def pressure_traffic(self):
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0
-        )
-        return generator.generate(20.0)
+        return TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0,
+            duration_s=20.0,
+        ).requests(LLAMA3_70B)
 
     def test_preemption_storm_loses_no_requests(self, pressure_traffic):
         report = simulate(self.tight_fleet(Reservation.PAGED), pressure_traffic)
@@ -517,10 +517,10 @@ class TestThroughputWindows:
     def test_overload_window_rate_plateaus(self):
         """Under heavy overload the arrival-window rate must report the
         fleet's physical rate, not offered-load-scaled inflation."""
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=8.0, seed=1
-        )
-        requests = generator.generate(12.0)
+        requests = TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=8.0, seed=1,
+            duration_s=12.0,
+        ).requests(LLAMA3_70B)
         config = fleet(LLAMA3_70B, decode=1, kv_budget_bytes=3e9)
         report = simulate(config, requests)
         assert report.duration_s > 1.5 * report.last_arrival_s  # long drain
@@ -784,10 +784,10 @@ class TestPrefillQueueRegression:
 
     @pytest.fixture(scope="class")
     def traffic(self):
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=3.0, seed=7
-        )
-        return generator.generate(20.0)
+        return TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=3.0, seed=7,
+            duration_s=20.0,
+        ).requests(LLAMA3_70B)
 
     @pytest.mark.parametrize("reservation", list(Reservation))
     def test_pinned_digest(self, traffic, reservation):
@@ -1115,9 +1115,9 @@ class TestPrefillQueueProperties:
             )
             for priority in (0, 2)
         )
-        return RequestGenerator(
-            classes=classes, rate_rps=3.0, seed=seed
-        ).generate(12.0)
+        return TrafficSpec(
+            classes=classes, rate_rps=3.0, seed=seed, duration_s=12.0
+        ).requests(LLAMA3_70B)
 
     @pytest.mark.parametrize("policy", list(PrefillPolicy))
     @pytest.mark.parametrize("seed", [0, 1])

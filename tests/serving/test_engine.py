@@ -22,7 +22,6 @@ from repro.serving.kvstore import SwapPolicy
 from repro.serving.requests import (
     ArrivalTrace,
     Request,
-    RequestGenerator,
     TrafficClass,
 )
 from repro.serving.scheduler import Policy, Reservation
@@ -219,8 +218,9 @@ def _traffic(
         )
         for priority in priorities
     )
-    gen = RequestGenerator(classes=classes, rate_rps=rate, seed=seed)
-    return gen.generate(duration)
+    return TrafficSpec(
+        classes=classes, rate_rps=rate, seed=seed, duration_s=duration
+    ).requests(model)
 
 
 def _base(model=LLAMA3_8B, kv_budget=2e8, **overrides):
@@ -313,8 +313,9 @@ def _reasoning_requests(rate=2.0):
             self_consistency_n=4,
         ),
     )
-    gen = RequestGenerator(classes=classes, rate_rps=rate, seed=53)
-    return gen.generate(10.0)
+    return TrafficSpec(
+        classes=classes, rate_rps=rate, seed=53, duration_s=10.0
+    ).requests(LLAMA3_70B)
 
 
 #: name -> () -> (config, requests).  Every branchy feature the

@@ -16,8 +16,8 @@ from repro.serving.cluster import simulate
 from repro.serving.kvstore import KvBlockStore, SwapPolicy, swap_recompute_costs
 from repro.serving.requests import (
     Request,
-    RequestGenerator,
     TrafficClass,
+    TrafficSpec,
     reasoning_traffic,
 )
 from repro.serving.scheduler import (
@@ -425,10 +425,10 @@ class TestDisabledHierarchyRegression:
 
     @pytest.fixture(scope="class")
     def traffic(self):
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0
-        )
-        return generator.generate(20.0)
+        return TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0,
+            duration_s=20.0,
+        ).requests(LLAMA3_70B)
 
     @pytest.mark.parametrize("reservation", list(Reservation))
     def test_pinned_digest(self, traffic, reservation):
@@ -459,9 +459,9 @@ def shared_traffic(rate_rps=4.0, duration_s=15.0, seed=0):
         LLAMA3_70B, prompt_mean=2048, decode_mean=512,
         prefix_share_prob=0.9, prefix_fanout=8, prefix_frac=0.75,
     )
-    return RequestGenerator(
-        classes=(traffic,), rate_rps=rate_rps, seed=seed
-    ).generate(duration_s)
+    return TrafficSpec(
+        classes=(traffic,), rate_rps=rate_rps, seed=seed, duration_s=duration_s
+    ).requests(LLAMA3_70B)
 
 
 class TestClusterPrefixCaching:
@@ -525,10 +525,10 @@ class TestClusterPrefixCaching:
 class TestClusterSwap:
     @pytest.fixture(scope="class")
     def pressure(self):
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0
-        )
-        return generator.generate(20.0)
+        return TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=2.0, seed=0,
+            duration_s=20.0,
+        ).requests(LLAMA3_70B)
 
     def tight(self, **overrides):
         return fleet(LLAMA3_70B, decode=1, kv_budget_bytes=3e9, **overrides)

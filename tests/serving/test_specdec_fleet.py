@@ -13,7 +13,7 @@ from repro.models.workload import Workload
 from repro.serving.cluster import ClusterSim, simulate
 from repro.serving.engine import report_digest
 from repro.serving.kvstore import SwapPolicy
-from repro.serving.requests import Request, RequestGenerator, TrafficClass
+from repro.serving.requests import Request, TrafficClass, TrafficSpec
 from repro.serving.scheduler import ContinuousBatchScheduler, Reservation
 from repro.specdec import SpecDecConfig
 
@@ -23,9 +23,9 @@ def _traffic(seed=61, rate=2.0, duration=10.0):
         LLAMA3_70B, prompt_mean=1024, decode_mean=2048,
         prompt_sigma=0.5, decode_sigma=0.5,
     )
-    return RequestGenerator(
-        classes=(cls,), rate_rps=rate, seed=seed
-    ).generate(duration)
+    return TrafficSpec(
+        classes=(cls,), rate_rps=rate, seed=seed, duration_s=duration
+    ).requests(LLAMA3_70B)
 
 
 def _config(**overrides):
@@ -168,9 +168,9 @@ class TestStrandedPoolRescue:
             cot_turns=cot_turns, think_time_mean_s=0.3,
             self_consistency_n=2,
         )
-        requests = RequestGenerator(
-            classes=(cls,), rate_rps=8.0, seed=5
-        ).generate(12.0)
+        requests = TrafficSpec(
+            classes=(cls,), rate_rps=8.0, seed=5, duration_s=12.0
+        ).requests(LLAMA3_70B)
         config = fleet(
             LLAMA3_70B,
             decode=1,
@@ -264,9 +264,9 @@ class TestToolParking:
             prompt_sigma=0.5, decode_sigma=0.5,
             cot_turns=3, think_time_mean_s=0.5,
         )
-        requests = RequestGenerator(
-            classes=(cls,), rate_rps=2.0, seed=67
-        ).generate(8.0)
+        requests = TrafficSpec(
+            classes=(cls,), rate_rps=2.0, seed=67, duration_s=8.0
+        ).requests(LLAMA3_70B)
         assert any(r.tool_pauses for r in requests)
         report = simulate(_config(), requests)
         assert len(report.completed) == len(requests)
@@ -300,9 +300,9 @@ class TestToolParking:
             prompt_sigma=0.5, decode_sigma=0.5,
             cot_turns=2, think_time_mean_s=0.5, self_consistency_n=2,
         )
-        requests = RequestGenerator(
-            classes=(cls,), rate_rps=2.0, seed=71
-        ).generate(8.0)
+        requests = TrafficSpec(
+            classes=(cls,), rate_rps=2.0, seed=71, duration_s=8.0
+        ).requests(LLAMA3_70B)
         config = _config(
             specdec=SpecDecConfig(),
             prefix_caching=True,

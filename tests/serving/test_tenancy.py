@@ -4,6 +4,7 @@ per-tenant report surface, and the scenario registry."""
 
 import json
 import math
+import re
 
 import pytest
 from fleets import fleet
@@ -23,7 +24,6 @@ from repro.serving.cluster import PrefillPolicy, simulate
 from repro.serving.requests import (
     ArrivalTrace,
     Request,
-    RequestGenerator,
     TraceRow,
     TrafficClass,
     merge_requests,
@@ -195,10 +195,10 @@ class TestTraceValidation:
         trace = ArrivalTrace()
         assert len(trace) == 0
         assert trace.duration_s == 0.0
-        generator = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), seed=3
+        spec = TrafficSpec(
+            classes=(reasoning_traffic(LLAMA3_70B),), seed=3, trace=trace
         )
-        assert generator.replay(trace) == []
+        assert spec.requests(LLAMA3_70B) == []
 
     def test_from_times_and_duration(self):
         trace = ArrivalTrace.from_times([0.5, 1.0, 4.0])
@@ -245,6 +245,50 @@ class TestTraceFiles:
         trace = ArrivalTrace.from_csv(str(path))
         assert trace.rows[0] == TraceRow(0.0, 128, 64, 1)
         assert trace.rows[1] == TraceRow(1.5)  # empty cells -> sampled
+
+    def test_json_cells_must_be_integral_numbers(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps([{"arrival_s": 0.0, "prompt_len": 3.0}]))
+        assert ArrivalTrace.from_json(str(path)).rows[0].prompt_len == 3
+        for cells, column in (
+            ({"prompt_len": 3.7}, "prompt_len"),
+            ({"decode_len": True}, "decode_len"),
+            ({"priority": "high"}, "priority"),
+            ({"arrival_s": "soon"}, "arrival_s"),
+        ):
+            path.write_text(json.dumps([
+                {"arrival_s": 0.0},
+                {"arrival_s": 1.0, **cells},
+            ]))
+            with pytest.raises(
+                ValueError, match=re.escape(f"{path}: row 1 column {column}")
+            ):
+                ArrivalTrace.from_json(str(path))
+        path.write_text(json.dumps([{"arrival_s": 0.0, "decode_len": 0}]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: row 0: decode_len")):
+            ArrivalTrace.from_json(str(path))
+
+    def test_csv_cells_must_be_integral_numbers(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "arrival_s,prompt_len,decode_len,priority\n"
+            "0.0,3.0,64,1\n"
+        )
+        assert ArrivalTrace.from_csv(str(path)).rows[0] == TraceRow(0.0, 3, 64, 1)
+        for row, column in (
+            ("1.0,3.7,64,", "prompt_len"),
+            ("1.0,128,True,", "decode_len"),
+            ("1.0,128,64,high", "priority"),
+            ("soon,128,64,", "arrival_s"),
+        ):
+            path.write_text(
+                "arrival_s,prompt_len,decode_len,priority\n"
+                f"0.0,,,\n{row}\n"
+            )
+            with pytest.raises(
+                ValueError, match=re.escape(f"{path}: row 1 column {column}")
+            ):
+                ArrivalTrace.from_csv(str(path))
 
     def test_csv_requires_arrival_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -299,19 +343,20 @@ class TestTraceGenerators:
 
 
 class TestReplay:
-    def generator(self, seed=0):
-        return RequestGenerator(
+    def replay(self, trace, seed=0):
+        return TrafficSpec(
             classes=(TrafficClass(LLAMA3_70B, prompt_mean=512,
                                   decode_mean=128),),
             seed=seed,
-        )
+            trace=trace,
+        ).requests(LLAMA3_70B)
 
     def test_fully_specified_rows_pass_through(self):
         trace = ArrivalTrace((
             TraceRow(0.0, prompt_len=100, decode_len=50),
             TraceRow(2.0, prompt_len=200, decode_len=60, priority=7),
         ))
-        requests = self.generator().replay(trace)
+        requests = self.replay(trace)
         assert [r.arrival_s for r in requests] == [0.0, 2.0]
         assert [(r.prompt_len, r.decode_len) for r in requests] == [
             (100, 50), (200, 60),
@@ -321,8 +366,8 @@ class TestReplay:
 
     def test_missing_lengths_sampled_deterministically(self):
         trace = ArrivalTrace.from_times([0.0, 1.0, 2.0])
-        a = self.generator(seed=9).replay(trace)
-        b = self.generator(seed=9).replay(trace)
+        a = self.replay(trace, seed=9)
+        b = self.replay(trace, seed=9)
         assert a == b
         assert all(r.prompt_len >= 1 and r.decode_len >= 1 for r in a)
 
@@ -352,19 +397,6 @@ class TestMergeRequests:
 class TestOneTenantDigest:
     """The degenerate path (flat TrafficSpec, no roster, admission off,
     no autoscaler) must stay identical to the pre-tenancy pipeline."""
-
-    def test_flat_spec_streams_are_byte_identical_to_pr5_generator(self):
-        spec = TrafficSpec(
-            rate_rps=3.0, duration_s=20.0, seed=7,
-            classes=(reasoning_traffic(LLAMA3_70B),),
-        )
-        legacy = RequestGenerator(
-            classes=(reasoning_traffic(LLAMA3_70B),), rate_rps=3.0, seed=7
-        ).generate(20.0)
-        assert spec.requests(LLAMA3_70B) == legacy
-        # ... and the roster it denotes is the one-default-tenant form.
-        (tenant,) = spec.as_tenants()
-        assert tenant.name == "" and tenant.traffic is spec
 
     def test_default_knobs_reproduce_the_pr5_digest(self):
         """Same fleet/traffic as TestPrefillQueueRegression (PAGED row):
