@@ -2235,6 +2235,12 @@ class ClusterSim:
         exact per-boundary float-addition order of the single-step
         path, so run digests are bit-identical.
 
+        The replay is segmented.  A boundary that grows blocks,
+        re-fetches the step cost or finds a walker lagging takes the
+        full per-boundary step; the boundaries from there to the next
+        such event (or the span's end, or the bound) form a *uniform
+        run* that repeats the same four adds with the same operands.
+
         Returns True when it handled the step chain (the next ``_STEP``
         event is already scheduled); False to fall back to the
         single-step path.
@@ -2322,22 +2328,34 @@ class ClusterSim:
         steps = 0
         trigs: tuple[float, ...] = ()
         prev_t = prev_busy = prev_energy = prev_kvocc = 0.0
+        # (t, busy, energy, occupancy integral) at the start of the
+        # last uniform run, and its length while it is the last thing
+        # replayed (0 once a per-boundary step follows it).
+        run_start: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+        run_len = 0
         next_growth = gheap[0][0] if gheap is not None else 1 << 60
         # Above the context bucket the (batch, context) cost key only
         # changes every ``bucket`` boundaries; fetch once per run
         # instead of per boundary.
         cost = None
+        step_s = 0.0  # latency of the last fetched cost (none yet)
         cost_until = -1  # first mean value needing a re-fetch
         while steps < boundaries and t < bound:
             # A walker's clock is a lower bound on its pod's trigger
             # time; our boundary at ``t`` is safely quiet while every
             # walker sits strictly ahead of it.  Advance any that
-            # lag -- a walk that completes yields that pod's exact
-            # trigger time, which then caps the span like any event.
+            # lag, ahead to our span's projected end at the last
+            # fetched cost (just to ``t`` before the first fetch):
+            # walking further only finds the same trigger sooner, and a
+            # walker kept a boundary ahead would cut every uniform run
+            # after one boundary.  A walk that completes yields that
+            # pod's exact trigger time, which then caps the span like
+            # any event.
             if walkers:
                 for walker in walkers:
                     if walker[1] and walker[0] <= t:
-                        trig = self._advance_walk(walker, t)
+                        reach = min(bound, t + (boundaries - steps) * step_s)
+                        trig = self._advance_walk(walker, reach)
                         if trig is not None:
                             trigs += (trig,)
                             if trig < bound:
@@ -2371,6 +2389,7 @@ class ClusterSim:
             prev_busy = busy_s
             prev_energy = energy_j
             prev_kvocc = kv_occupancy_s
+            run_len = 0
             if mean >= cost_until:
                 context = mean if mean <= bucket else mean // bucket * bucket
                 cost = cache.get((batch, context))
@@ -2394,6 +2413,48 @@ class ClusterSim:
                 mean = quotient + (quotient & 1)
             else:
                 mean += 1
+            if mean >= cost_until:
+                continue  # the next boundary re-fetches: no run
+            # Uniform run up to the next event: a block growth, the
+            # next cost-key change, the trigger, the bound or the first
+            # walker clock.  Every boundary in it repeats the same four
+            # adds with the same operands, so the hoisted product is
+            # bit-identical to the per-boundary one.  In mean units the
+            # cost holds for ``cost_until - mean`` boundaries; at a tie
+            # the mean is the even one of ``quotient``/``quotient + 1``,
+            # which stays below ``cost_until`` until ``quotient``
+            # reaches ``cost_until - 1 + (cost_until & 1)``.
+            end = steps + (
+                cost_until - 1 + (cost_until & 1) - quotient if tie
+                else cost_until - mean
+            )
+            if next_growth < end:
+                end = next_growth
+            if boundaries < end:
+                end = boundaries
+            lim = bound
+            for walker in walkers:
+                if walker[1] and walker[0] < lim:
+                    lim = walker[0]
+            if end <= steps or t >= lim:
+                continue
+            run_start = (t, busy_s, energy_j, kv_occupancy_s)
+            a = occupancy * step_s
+            run_len = end - steps
+            for i in range(run_len):
+                if t >= lim:
+                    run_len = i
+                    break
+                kv_occupancy_s += a
+                busy_s += step_s
+                energy_j += step_j
+                t += step_s
+            steps += run_len
+            if tie:
+                quotient += run_len
+                mean = quotient + (quotient & 1)
+            else:
+                mean += run_len
         if steps == 0:
             return False  # first boundary already capped
         # Exact-tie guard: pushing our next _STEP at the very timestamp
@@ -2408,10 +2469,22 @@ class ClusterSim:
             if steps < 2:
                 return False
             steps -= 1
-            t = prev_t
-            busy_s = prev_busy
-            energy_j = prev_energy
-            kv_occupancy_s = prev_kvocc
+            if run_len:
+                # The dropped boundary closed a uniform run, which kept
+                # no per-boundary saves: replay the run from its start,
+                # one boundary short, with the same adds in order.
+                t, busy_s, energy_j, kv_occupancy_s = run_start
+                a = occupancy * step_s
+                for _ in range(run_len - 1):
+                    kv_occupancy_s += a
+                    busy_s += step_s
+                    energy_j += step_j
+                    t += step_s
+            else:
+                t = prev_t
+                busy_s = prev_busy
+                energy_j = prev_energy
+                kv_occupancy_s = prev_kvocc
             if applied and applied[-1][0] == steps:
                 applied.pop()  # the dropped boundary's growths, unapplied
         pod.busy_s = busy_s
@@ -2454,10 +2527,12 @@ class ClusterSim:
         and the prefill drain the caller found blocked stays blocked
         until the horizon -- so leaping over them cannot change any
         digest-visible ordering.  Each quiet pod
-        contributes a resumable walk state; the caller advances it
-        lazily, never past its own clock, so walk work is bounded by
-        the span actually committed rather than by the other pod's
-        (possibly far later) trigger.
+        contributes a resumable walk state.  The caller advances it
+        lazily: only once the caller's clock catches up with the walk's,
+        and then ahead to the caller's projected span end, never past
+        the horizon.  So walk work is bounded by the span the caller
+        expects to commit rather than by the other pod's (possibly far
+        later) trigger.
         """
         calendar = self._calendar
         if calendar.open_batch_pending():
@@ -2556,7 +2631,15 @@ class ClusterSim:
         """Advance a quiet-chain walk until its clock passes ``limit``
         or its trigger boundary is reached; returns the exact trigger
         time once all quiet boundaries are consumed, else ``None``
-        (trigger strictly later than the walk's updated clock)."""
+        (trigger strictly later than the walk's updated clock).
+
+        Segmented like :meth:`_bulk_quiet_steps`: after each
+        per-boundary step, the boundaries up to the next growth, the
+        next cost-key change or the trigger only add the same latency.
+        The walk state advances by exactly the boundaries walked, so a
+        walk stopped inside such a run resumes where it stopped, and
+        the clock is the same float sum however the walk is split
+        across calls."""
         (t, remaining, quotient, mean, tie, batch, cache, step_cost,
          bidx, gheap, v, overhead, budget, block_tokens) = state
         bucket = STEP_CONTEXT_BUCKET
@@ -2590,7 +2673,8 @@ class ClusterSim:
                 if cost is None:
                     cost = step_cost(batch, mean)
                 cost_until = mean + 1 if mean < bucket else context + bucket
-            t += cost[0]
+            step_s = cost[0]
+            t += step_s
             remaining -= 1
             bidx += 1
             if tie:
@@ -2598,6 +2682,30 @@ class ClusterSim:
                 mean = quotient + (quotient & 1)
             else:
                 mean += 1
+            if mean >= cost_until:
+                continue
+            # Uniform run (run length as in _bulk_quiet_steps).
+            n = (
+                cost_until - 1 + (cost_until & 1) - quotient if tie
+                else cost_until - mean
+            )
+            if remaining < n:
+                n = remaining
+            if next_growth - bidx < n:
+                n = next_growth - bidx
+            for i in range(n):
+                if t > limit:
+                    n = i
+                    break
+                t += step_s
+            if n > 0:
+                remaining -= n
+                bidx += n
+                if tie:
+                    quotient += n
+                    mean = quotient + (quotient & 1)
+                else:
+                    mean += n
         state[0] = t
         state[1] = remaining
         state[2] = quotient
