@@ -13,8 +13,10 @@ Components follow the Fig 8 legend:
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 
 from repro.sim.kernel import Simulator
+from repro.util.stats import left_sum
 
 
 class EnergyMeter:
@@ -26,45 +28,61 @@ class EnergyMeter:
         self.sim = sim
         self.bin_s = bin_s
         self.totals: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        self._bins: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+        #: joules per time bin, indexed by bin number, grown on demand.
+        self._bins: dict[str, list[float]] = defaultdict(list)
 
-    def add(
+    def charge(
         self,
         group: str,
-        component: str,
-        joules: float,
         start_s: float,
         end_s: float,
+        parts: Sequence[tuple[str, float]],
     ) -> None:
-        """Record ``joules`` spent by ``group/component`` over an interval.
+        """Record the ``(component, joules)`` parts ``group`` spent over
+        one interval.
 
-        The energy is spread uniformly across the interval's time bins so
-        power traces integrate back to total energy.
+        Each part is spread uniformly across the interval's time bins so
+        power traces integrate back to total energy.  A bin's overlap is
+        computed once and shared by the parts, which are added in order:
+        every bin gets the same float adds, in the same order, as
+        charging the parts one at a time would give it.
         """
-        if joules < 0:
-            raise ValueError("joules must be non-negative")
         if end_s < start_s:
             raise ValueError("end must not precede start")
-        self.totals[group][component] += joules
-        if joules == 0:
+        for _, joules in parts:
+            if joules < 0:
+                raise ValueError("joules must be non-negative")
+        totals = self.totals[group]
+        for component, joules in parts:
+            totals[component] += joules
+        nonzero = [joules for _, joules in parts if joules]
+        if not nonzero:
             return
-        if end_s == start_s:  # simlint: ok[digest-safety] instantaneous-event sentinel, same value both sides
-            self._bins[group][int(start_s / self.bin_s)] += joules
+        bin_s = self.bin_s
+        bins = self._bins[group]
+        first = int(start_s / bin_s)
+        instant = end_s == start_s  # simlint: ok[digest-safety] instantaneous-event sentinel, same value both sides
+        last = first if instant else int(end_s / bin_s)
+        if len(bins) <= last:
+            bins.extend([0.0] * (last + 1 - len(bins)))
+        if instant:
+            for joules in nonzero:
+                bins[first] += joules
             return
-        first = int(start_s / self.bin_s)
-        last = int(end_s / self.bin_s)
         duration = end_s - start_s
         for index in range(first, last + 1):
-            lo = max(start_s, index * self.bin_s)
-            hi = min(end_s, (index + 1) * self.bin_s)
+            lo = max(start_s, index * bin_s)
+            hi = min(end_s, (index + 1) * bin_s)
             if hi > lo:
-                self._bins[group][index] += joules * (hi - lo) / duration
+                width = hi - lo
+                for joules in nonzero:
+                    bins[index] += joules * width / duration
 
     # ------------------------------------------------------------------
     def total_j(self, group: str | None = None) -> float:
         if group is not None:
-            return sum(self.totals[group].values())
-        return sum(sum(components.values()) for components in self.totals.values())
+            return left_sum(self.totals[group].values())
+        return left_sum(left_sum(components.values()) for components in self.totals.values())
 
     def breakdown(self) -> dict[str, dict[str, float]]:
         """Plain nested dict of joules by group/component."""
@@ -74,5 +92,6 @@ class EnergyMeter:
         """(bin start times, watts) for one group up to ``until_s``."""
         num_bins = max(1, int(until_s / self.bin_s) + 1)
         times = [i * self.bin_s for i in range(num_bins)]
-        watts = [self._bins[group].get(i, 0.0) / self.bin_s for i in range(num_bins)]
+        watts = [joules / self.bin_s for joules in self._bins.get(group, [])[:num_bins]]
+        watts.extend([0.0] * (num_bins - len(watts)))
         return times, watts

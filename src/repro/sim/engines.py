@@ -77,15 +77,16 @@ def memory_engine(ctx: CoreContext, stream: list[MemLoad]):
 
 def _memory_energy(ctx: CoreContext, nbytes: float, start: float, end: float) -> None:
     bits = nbytes * 8
-    meter = ctx.meter
     device = ctx.device_energy
-    meter.add("mem", "act", bits * device["activation"] * _PJ, start, end)
-    meter.add("mem", "mov-mem", bits * device["movement"] * _PJ, start, end)
-    meter.add("mem", "tsvs", bits * device["tsv"] * _PJ, start, end)
-    meter.add("mem", "io", bits * device["io"] * _PJ, start, end)
     wire = ENERGY.bus_pj_per_bit_mm * MEM_PATH_WIRE_MM
-    meter.add("mem", "mov-si", bits * wire * _PJ, start, end)
-    meter.add("mem", "sram-w", bits * ENERGY.sram_write_pj_per_bit * _PJ, start, end)
+    ctx.meter.charge("mem", start, end, (
+        ("act", bits * device["activation"] * _PJ),
+        ("mov-mem", bits * device["movement"] * _PJ),
+        ("tsvs", bits * device["tsv"] * _PJ),
+        ("io", bits * device["io"] * _PJ),
+        ("mov-si", bits * wire * _PJ),
+        ("sram-w", bits * ENERGY.sram_write_pj_per_bit * _PJ),
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -112,18 +113,18 @@ def compute_engine(ctx: CoreContext, stream: list[Compute]):
 
 
 def _compute_energy(ctx: CoreContext, instr: Compute, start: float, end: float) -> None:
-    meter = ctx.meter
     if instr.engine == "tmac":
-        meter.add("comp", "tmac", instr.flops * ENERGY.tmac_pj_per_flop * _PJ, start, end)
+        parts = [("tmac", instr.flops * ENERGY.tmac_pj_per_flop * _PJ)]
     else:
-        meter.add("comp", "hp-op", instr.flops * ENERGY.vec_op_pj * _PJ, start, end)
+        parts = [("hp-op", instr.flops * ENERGY.vec_op_pj * _PJ)]
     if instr.weight_bytes:
         bits = instr.weight_bytes * 8
-        meter.add("comp", "wei-sram_r", bits * ENERGY.sram_read_pj_per_bit * _PJ, start, end)
-        meter.add("comp", "wei-dc", bits * ENERGY.stream_decode_pj_per_bit * _PJ, start, end)
+        parts.append(("wei-sram_r", bits * ENERGY.sram_read_pj_per_bit * _PJ))
+        parts.append(("wei-dc", bits * ENERGY.stream_decode_pj_per_bit * _PJ))
     if instr.out_bytes:
         bits = instr.out_bytes * 8
-        meter.add("comp", "act-sram", bits * ENERGY.sram_write_pj_per_bit * _PJ, start, end)
+        parts.append(("act-sram", bits * ENERGY.sram_write_pj_per_bit * _PJ))
+    ctx.meter.charge("comp", start, end, parts)
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +157,10 @@ def network_engine(ctx: CoreContext, stream: list[NetCollective | NetForward]):
 
 def _network_energy(ctx: CoreContext, nbytes: float, start: float, end: float) -> None:
     bits = nbytes * 8
-    ctx.meter.add(
-        "net", "io", bits * ENERGY.ucie_in_package_pj_per_bit * _PJ, start, max(end, start)
-    )
-    ctx.meter.add(
-        "net", "sram_w", bits * ENERGY.sram_write_pj_per_bit * _PJ, start, max(end, start)
-    )
+    ctx.meter.charge("net", start, max(end, start), (
+        ("io", bits * ENERGY.ucie_in_package_pj_per_bit * _PJ),
+        ("sram_w", bits * ENERGY.sram_write_pj_per_bit * _PJ),
+    ))
 
 
 def run_core(ctx: CoreContext, program: CoreProgram) -> list:

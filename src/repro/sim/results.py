@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.sim.energy import EnergyMeter
 from repro.sim.trace import PipelineTrace
+from repro.util.stats import left_sum
 
 
 @dataclass
@@ -76,13 +77,13 @@ class SimResult:
 
     def energy_per_token_j(self, batch_size: int = 1) -> float:
         """System energy per generated token."""
-        per_cu = sum(self.energy_per_cu_j().values())
+        per_cu = left_sum(self.energy_per_cu_j().values())
         return per_cu * self.num_cus / batch_size
 
     def avg_power_per_cu_w(self) -> float:
         if self.latency_s == 0:  # simlint: ok[digest-safety] zero sentinel
             return 0.0
-        return sum(self.energy_per_cu_j().values()) / self.latency_s
+        return left_sum(self.energy_per_cu_j().values()) / self.latency_s
 
     # ------------------------------------------------------------------
     def tokens_per_s(self, batch_size: int = 1) -> float:

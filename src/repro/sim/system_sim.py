@@ -27,6 +27,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.resources import BandwidthResource
 from repro.sim.results import SimResult
 from repro.sim.trace import PipelineTrace
+from repro.util.stats import left_sum
 
 
 def simulate_decode_step(
@@ -96,9 +97,9 @@ def simulate_decode_step(
     # arbitration aggregate over all simulated cores.
     first = contexts[0]
     stalls = {
-        "mem_buffer_write_stall_s": sum(c.mem_buffer.write_stall_s for c in contexts),
-        "net_buffer_write_stall_s": sum(c.net_buffer.write_stall_s for c in contexts),
-        "compute_read_stall_s": sum(
+        "mem_buffer_write_stall_s": left_sum(c.mem_buffer.write_stall_s for c in contexts),
+        "net_buffer_write_stall_s": left_sum(c.net_buffer.write_stall_s for c in contexts),
+        "compute_read_stall_s": left_sum(
             c.mem_buffer.read_stall_s + c.net_buffer.read_stall_s for c in contexts
         ),
     }

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.stats import left_sum
+
 
 @dataclass
 class Interval:
@@ -36,11 +38,11 @@ class PipelineTrace:
 
     @property
     def busy_s(self) -> float:
-        return sum(interval.duration for interval in self.intervals)
+        return left_sum(interval.duration for interval in self.intervals)
 
     @property
     def total_work(self) -> float:
-        return sum(interval.work for interval in self.intervals)
+        return left_sum(interval.work for interval in self.intervals)
 
     def utilization(self, elapsed_s: float) -> float:
         if elapsed_s <= 0:

@@ -1,6 +1,9 @@
 """End-to-end event simulation: decoupling behaviour, energy, agreement
 with the analytical model."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.perf_model import decode_step_perf
@@ -17,12 +20,15 @@ def bs1_result():
     return simulate_decode_step(RpuSystem(64), workload)
 
 
+def _bs32_system(workload):
+    sku = sku_for_system(workload.memory_footprint_bytes(), 128)
+    return RpuSystem.with_memory(64, sku)
+
+
 @pytest.fixture(scope="module")
 def bs32_result():
     workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
-    sku = sku_for_system(workload.memory_footprint_bytes(), 128)
-    system = RpuSystem.with_memory(64, sku)
-    return simulate_decode_step(system, workload)
+    return simulate_decode_step(_bs32_system(workload), workload)
 
 
 class TestBs1:
@@ -126,3 +132,48 @@ class TestValidation:
         times, watts = result.meter.power_trace("mem", result.latency_s)
         integrated = sum(watts) * result.meter.bin_s
         assert integrated == pytest.approx(result.meter.total_j("mem"), rel=0.02)
+
+
+class TestOutputPin:
+    """The whole simulated output of two small points, power bins
+    included, hashed with every float rendered by ``repr``: a change to
+    the engines, the meter or the event order that moves any bit fails
+    here."""
+
+    PINS = {
+        "bs1": "f0043473cfdf360fb06de08b8df6f1923381c12069c95e402a5ac4cb6d67056c",
+        "bs32": "b173ebeae67db7f83cb779050eb323aeab77c15e6def1a68f85ee8a21575722e",
+    }
+
+    @staticmethod
+    def output_digest(result):
+        meter = result.meter
+        row = {
+            "latency_s": repr(result.latency_s),
+            "breakdown": {
+                group: {component: repr(j) for component, j in components.items()}
+                for group, components in meter.breakdown().items()
+            },
+            "stalls": {name: repr(s) for name, s in result.stalls.items()},
+            "arbitration": result.arbitration,
+            "util": [
+                repr(result.mem_utilization),
+                repr(result.comp_utilization),
+                repr(result.net_utilization),
+            ],
+            "power": {
+                group: [repr(w) for w in meter.power_trace(group, result.latency_s)[1]]
+                for group in ("mem", "comp", "net")
+            },
+        }
+        return hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
+
+    def test_bs1_output_is_pinned(self):
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        result = simulate_decode_step(RpuSystem(64), workload, detail_cores=2)
+        assert self.output_digest(result) == self.PINS["bs1"]
+
+    def test_bs32_output_is_pinned(self):
+        workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
+        result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
+        assert self.output_digest(result) == self.PINS["bs32"]
