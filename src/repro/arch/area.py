@@ -26,11 +26,6 @@ class ShorelineBudget:
     die_area_mm2: float
     shoreline_mm: float
 
-    @property
-    def shoreline_per_area(self) -> float:
-        """mm of memory IO edge per mm^2 of compute silicon."""
-        return self.shoreline_mm / self.die_area_mm2
-
 
 def cu_shoreline() -> ShorelineBudget:
     """One compute chiplet: both 16 mm edges carry HBM-CO interfaces."""

@@ -44,10 +44,6 @@ class ShardPlan:
         """Group sharding splits dot products; partial sums must be reduced."""
         return self.group_size > 1
 
-    @property
-    def weight_elems_per_core(self) -> int:
-        return self.columns_per_core * self.rows_per_core
-
 
 def plan_linear(in_dim: int, out_dim: int, num_cores: int) -> ShardPlan:
     """Choose the smallest group size giving every core >= 8 columns."""

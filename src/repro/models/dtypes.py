@@ -32,14 +32,6 @@ class DType(enum.Enum):
         self.label = label
         self.nbytes = nbytes
 
-    @classmethod
-    def from_label(cls, label: str) -> "DType":
-        """Look a datatype up by its lowercase label (e.g. ``"mxfp4"``)."""
-        for member in cls:
-            if member.label == label:
-                return member
-        raise KeyError(f"unknown dtype label {label!r}")
-
     def bits(self) -> float:
         """Bits per element including amortized block metadata."""
         return self.nbytes * 8

@@ -19,6 +19,7 @@ import io
 import json
 from collections.abc import Mapping, Sequence
 
+from repro.util.stats import mean
 from repro.util.tables import Table
 
 __all__ = ["TIMELINE_SCHEMA_VERSION", "Timeline", "sparkline"]
@@ -43,7 +44,7 @@ def sparkline(values: Sequence[float], width: int = 40) -> str:
             lo = i * len(values) // width
             hi = max(lo + 1, (i + 1) * len(values) // width)
             chunk = values[lo:hi]
-            cells.append(sum(chunk) / len(chunk))
+            cells.append(mean(chunk))
     else:
         cells = list(values)
     low, high = min(cells), max(cells)
@@ -148,7 +149,7 @@ class Timeline:
                 [
                     name,
                     min(values),
-                    sum(values) / len(values),
+                    mean(values),
                     max(values),
                     sparkline(values, width),
                 ]

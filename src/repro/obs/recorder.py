@@ -32,6 +32,7 @@ from repro.obs.spans import (
     Span,
     SpanLog,
 )
+from repro.util.stats import left_sum
 from repro.util.tables import Table
 
 __all__ = ["TraceConfig", "TraceRecorder", "TraceRecording"]
@@ -109,12 +110,13 @@ class TraceRecording:
         for span in self.spans:
             totals.setdefault(span.stage, []).append(span.duration_s)
         for stage, durations in sorted(totals.items()):
+            total = left_sum(durations)
             table.add_row(
                 [
                     stage,
                     len(durations),
-                    sum(durations),
-                    sum(durations) / len(durations),
+                    total,
+                    total / len(durations),
                     max(durations),
                 ]
             )

@@ -27,13 +27,6 @@ class QuantizedTensor:
     extra: dict[str, np.ndarray] | None = None  # e.g. NxFP micro-exponents
 
     @property
-    def num_elements(self) -> int:
-        size = 1
-        for dim in self.shape:
-            size *= dim
-        return size
-
-    @property
     def num_blocks(self) -> int:
         return self.payload.shape[0]
 

@@ -61,10 +61,6 @@ class MiniFloatSpec:
         return mantissa_max * 2.0**exp
 
     @property
-    def min_normal(self) -> float:
-        return 2.0 ** (1 - self.bias)
-
-    @property
     def min_subnormal(self) -> float:
         return 2.0 ** (1 - self.bias - self.mantissa_bits)
 

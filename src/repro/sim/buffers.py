@@ -34,7 +34,9 @@ class _Entry:
 class SramBuffer:
     """A byte-budgeted buffer of keyed entries with valid counters."""
 
-    def __init__(self, sim: Simulator, name: str, capacity_bytes: float):
+    def __init__(
+        self, sim: Simulator, name: str, capacity_bytes: float, *, trace: bool = False
+    ):
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self.sim = sim
@@ -44,8 +46,11 @@ class SramBuffer:
         self._entries: dict[str, _Entry] = {}
         self._space_waiters: list[Signal] = []
         self._read_waiters: dict[str, list[Signal]] = {}
-        # Occupancy trace: (time, bytes) samples at every change.
-        self.occupancy_trace: list[tuple[float, float]] = [(0.0, 0.0)]
+        # Occupancy trace: (time, bytes) samples at every change, kept
+        # only when ``trace`` asks for it.
+        self.occupancy_trace: list[tuple[float, float]] | None = (
+            [(0.0, 0.0)] if trace else None
+        )
         # Stall accounting
         self.write_stall_s = 0.0
         self.read_stall_s = 0.0
@@ -135,4 +140,5 @@ class SramBuffer:
             gate.fire()
 
     def _record(self) -> None:
-        self.occupancy_trace.append((self.sim.now, self.occupancy_bytes))
+        if self.occupancy_trace is not None:
+            self.occupancy_trace.append((self.sim.now, self.occupancy_bytes))

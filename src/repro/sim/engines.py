@@ -45,9 +45,10 @@ class CoreContext:
     link: BandwidthResource  # this core's share of the CU ring interface
     arbiter: PipelineArbiter
     meter: EnergyMeter
-    mem_trace: PipelineTrace
-    comp_trace: PipelineTrace
-    net_trace: PipelineTrace
+    # Busy-interval logs; ``None`` on a core whose traces are not reported.
+    mem_trace: PipelineTrace | None
+    comp_trace: PipelineTrace | None
+    net_trace: PipelineTrace | None
     peak_flops: float
     peak_vops: float
     device_energy: dict[str, float]  # pJ/bit by HBM-CO component
@@ -66,12 +67,14 @@ class CoreContext:
 # Memory engine
 # ----------------------------------------------------------------------
 def memory_engine(ctx: CoreContext, stream: list[MemLoad]):
+    trace = ctx.mem_trace
     for instr in stream:
         yield from ctx.mem_buffer.allocate(instr.dst.key, instr.nbytes, instr.valid_count)
         start, end = yield from ctx.channel.transfer(instr.nbytes)
         yield from ctx.arbiter.access("memory")
         ctx.mem_buffer.commit(instr.dst.key)
-        ctx.mem_trace.add(start, end, instr.kernel)
+        if trace is not None:
+            trace.add(start, end, instr.kernel)
         _memory_energy(ctx, instr.nbytes, start, end)
 
 
@@ -93,6 +96,7 @@ def _memory_energy(ctx: CoreContext, nbytes: float, start: float, end: float) ->
 # Compute engine
 # ----------------------------------------------------------------------
 def compute_engine(ctx: CoreContext, stream: list[Compute]):
+    trace = ctx.comp_trace
     for instr in stream:
         for read in instr.reads:
             yield from ctx.arbiter.access("compute")
@@ -108,7 +112,8 @@ def compute_engine(ctx: CoreContext, stream: list[Compute]):
         if duration:
             yield Timeout(duration)
         end = ctx.sim.now
-        ctx.comp_trace.add(start, end, instr.kernel, work=instr.flops)
+        if trace is not None:
+            trace.add(start, end, instr.kernel, work=instr.flops)
         _compute_energy(ctx, instr, start, end)
 
 
@@ -131,10 +136,12 @@ def _compute_energy(ctx: CoreContext, instr: Compute, start: float, end: float) 
 # Network engine
 # ----------------------------------------------------------------------
 def network_engine(ctx: CoreContext, stream: list[NetCollective | NetForward]):
+    trace = ctx.net_trace
     for instr in stream:
         if isinstance(instr, NetForward):
             start, end = yield from ctx.link.transfer(instr.nbytes)
-            ctx.net_trace.add(start, end, instr.kernel)
+            if trace is not None:
+                trace.add(start, end, instr.kernel)
             _network_energy(ctx, instr.nbytes, start, end)
             continue
 
@@ -151,7 +158,8 @@ def network_engine(ctx: CoreContext, stream: list[NetCollective | NetForward]):
             yield Timeout(hop_chain)
         yield from ctx.arbiter.access("network")
         ctx.net_buffer.commit(instr.dst.key)
-        ctx.net_trace.add(start, end, instr.kernel)
+        if trace is not None:
+            trace.add(start, end, instr.kernel)
         _network_energy(ctx, share + instr.local_bytes, start, ctx.sim.now)
 
 

@@ -15,6 +15,8 @@ class SimResult:
 
     All energies are *per simulated core*; scaling helpers convert to CU
     and system totals under the SPMD symmetry the compiler guarantees.
+    The pipeline and buffer traces are core 0's; the other simulated
+    cores record none.
     """
 
     latency_s: float

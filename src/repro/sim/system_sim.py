@@ -7,8 +7,23 @@ hop chain (exactly the reduction the paper's Fig 8 visualization makes).
 
 ``detail_cores`` controls how many of the CU's 16 cores are simulated;
 they share the CU's ring interface (scaled to their share), so link
-contention is representative.  One core is enough for timing (cores are
-symmetric); more cores exercise arbitration and contention paths.
+contention is representative.  Energy, stalls and arbitration cover
+every simulated core; the traces are core 0's alone, so no other core
+records any.
+
+One core does not give sixteen cores' timing.  On the ``rpu`` pod (128
+CUs, sized for BS=32 at 8k context), Llama3-8B with MXFP4 weights and
+FP8 KV:
+
+==================  =========  =========  =====
+point               1 core     16 cores   gap
+==================  =========  =========  =====
+BS=8, context 512   113.40 us  87.40 us   +30%
+BS=32, context 128  333.60 us  277.59 us  +20%
+==================  =========  =========  =====
+
+Why the two disagree is open: see ROADMAP.md, item 2 ("The fleet's
+decode cost, checked where the fleet runs").
 """
 
 from __future__ import annotations
@@ -68,20 +83,26 @@ def simulate_decode_step(
     processes = []
     for index in range(detail_cores):
         name = f"core{index}"
+        # Only core 0's traces are reported, so only core 0 records any.
+        traced = index == 0
         ctx = CoreContext(
             sim=sim,
             name=name,
-            mem_buffer=SramBuffer(sim, f"{name}.membuf", spec.mem_buffer_bytes),
-            net_buffer=SramBuffer(sim, f"{name}.netbuf", spec.net_buffer_bytes),
+            mem_buffer=SramBuffer(
+                sim, f"{name}.membuf", spec.mem_buffer_bytes, trace=traced
+            ),
+            net_buffer=SramBuffer(
+                sim, f"{name}.netbuf", spec.net_buffer_bytes, trace=traced
+            ),
             channel=BandwidthResource(
                 sim, f"{name}.hbm", system.cu.core.mem_bandwidth_bytes_per_s
             ),
             link=link,
             arbiter=PipelineArbiter(sim, f"{name}.arbiter"),
             meter=meter,
-            mem_trace=PipelineTrace("memory"),
-            comp_trace=PipelineTrace("compute"),
-            net_trace=PipelineTrace("network"),
+            mem_trace=PipelineTrace("memory") if traced else None,
+            comp_trace=PipelineTrace("compute") if traced else None,
+            net_trace=PipelineTrace("network") if traced else None,
             peak_flops=spec.peak_flops,
             peak_vops=spec.peak_vops,
             device_energy=device_energy,

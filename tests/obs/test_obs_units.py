@@ -24,6 +24,7 @@ from repro.obs import (
     to_chrome_trace,
     validate_chrome_trace,
 )
+from repro.util.tables import format_cell
 
 
 class TestSpan:
@@ -222,6 +223,34 @@ class TestTraceRecorder:
         assert recording.stage_counts() == {QUEUED: 2, PREFILL: 1}
         rendered = recording.summary_table().render()
         assert "queued" in rendered and "prefill" in rendered
+
+
+class TestSummarySums:
+    """Summary floats are plain left-to-right sums, the same on every
+    interpreter: Python 3.12's compensated builtin ``sum()`` turns the
+    cancelling series below into 1.0 instead of 0.0."""
+
+    CANCELLING = (1e16, 1.0, -1e16)
+
+    def test_sparkline_cell_means(self):
+        # The first cell averages the cancelling series to 0.0, like the
+        # second's zeros, so the line is flat.
+        assert sparkline([*self.CANCELLING, 0.0, 0.0, 0.0], width=2) == "▄▄"
+
+    def test_timeline_summary_mean(self):
+        tl = Timeline(0.0)
+        for t, value in enumerate(self.CANCELLING):
+            tl.record(float(t), {"a": value})
+        (row,) = tl.summary_table().rows
+        assert row[2] == format_cell(0.0)
+
+    def test_trace_summary_total_and_mean(self):
+        rec = TraceRecorder(TraceConfig())
+        rec.span(1, QUEUED, 0.0, 1e16)
+        rec.span(2, QUEUED, 0.0, 1.0)
+        rec.span(3, QUEUED, 1e16, 0.0)
+        (row,) = rec.recording().summary_table().rows
+        assert row[2] == row[3] == format_cell(0.0)
 
 
 class TestChromeTrace:

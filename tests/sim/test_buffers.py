@@ -7,10 +7,10 @@ from repro.sim.buffers import BufferError, SramBuffer
 from repro.sim.kernel import Simulator, Timeout
 
 
-def run(generator_fn, capacity=1000.0):
+def run(generator_fn, capacity=1000.0, trace=False):
     """Helper: run a scenario against a fresh sim + buffer."""
     sim = Simulator()
-    buffer = SramBuffer(sim, "buf", capacity)
+    buffer = SramBuffer(sim, "buf", capacity, trace=trace)
     sim.process(generator_fn(sim, buffer))
     sim.run()
     return buffer
@@ -149,9 +149,19 @@ def test_occupancy_trace_records_changes():
         yield from buf.write("a", 60)
         yield from buf.read("a")
 
-    buffer = run(scenario)
+    buffer = run(scenario, trace=True)
     occupancies = [b for _, b in buffer.occupancy_trace]
     assert 60 in occupancies and occupancies[-1] == 0
+
+
+def test_occupancy_trace_kept_only_when_asked():
+    def scenario(sim, buf):
+        yield from buf.write("a", 60)
+        yield from buf.read("a")
+
+    buffer = run(scenario)
+    assert buffer.occupancy_trace is None
+    assert buffer.occupancy_bytes == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,11 @@
 """EnergyMeter.charge against the per-component reference it replaced.
 
-``charge`` bins one pipeline interval's parts in a single walk over its
-time bins.  The oracle below charges each part on its own, walking the
-bins again every time, exactly as the meter did before; every total and
-every power bin must come out identical under ``==``.
+``charge`` logs one pipeline interval's parts, and ``power_trace`` bins
+the logged intervals in a single walk over each one's time bins.  The
+oracle below charges each part on its own, walking the bins again every
+time, exactly as the meter once did; every total and every power bin
+must come out identical under ``==``, however reads and charges
+interleave.
 """
 
 from collections import defaultdict
@@ -100,15 +102,12 @@ def _snapshot(meter, until_s):
     return meter.breakdown(), {g: meter.power_trace(g, until_s) for g in GROUPS}
 
 
-@settings(deadline=None)
-@given(charge_sequences())
-def test_charge_matches_per_component_reference(sequence):
-    meter = EnergyMeter(Simulator(), bin_s=BIN_S)
-    oracle = PerComponentMeter(BIN_S)
-    for group, start_s, end_s, parts in sequence:
-        meter.charge(group, start_s, end_s, parts)
-        oracle.charge(group, start_s, end_s, parts)
-    until_s = max(end for _, _, end, _ in sequence) + 3 * BIN_S
+def _logged(meter):
+    """The meter's not-yet-binned charges, per group."""
+    return {group: list(log) for group, log in meter._log.items()}
+
+
+def _assert_reads_match(meter, oracle, until_s):
     assert meter.breakdown() == oracle.breakdown()
     for group in GROUPS:
         assert meter.power_trace(group, until_s) == oracle.power_trace(group, until_s)
@@ -117,6 +116,29 @@ def test_charge_matches_per_component_reference(sequence):
         assert meter.power_trace(group, 5 * BIN_S) == oracle.power_trace(group, 5 * BIN_S)
 
 
+@settings(deadline=None)
+@given(charge_sequences(), st.data())
+def test_charge_matches_per_component_reference(sequence, data):
+    """Traces read after a random prefix of the charges, then again
+    after more charges, all equal the oracle's."""
+    meter = EnergyMeter(Simulator(), bin_s=BIN_S)
+    oracle = PerComponentMeter(BIN_S)
+    until_s = max(end for _, _, end, _ in sequence) + 3 * BIN_S
+    reads = set(
+        data.draw(st.lists(st.integers(0, len(sequence) - 1), max_size=3), label="reads")
+    )
+    for index, (group, start_s, end_s, parts) in enumerate(sequence):
+        if index in reads:
+            _assert_reads_match(meter, oracle, until_s)
+        meter.charge(group, start_s, end_s, parts)
+        oracle.charge(group, start_s, end_s, parts)
+    _assert_reads_match(meter, oracle, until_s)
+    # Every charge is binned now; reading again changes nothing.
+    assert all(not log for log in _logged(meter).values())
+    _assert_reads_match(meter, oracle, until_s)
+
+
+@pytest.mark.parametrize("read_first", [False, True])
 @pytest.mark.parametrize(
     "start_s, end_s, parts, match",
     [
@@ -125,13 +147,18 @@ def test_charge_matches_per_component_reference(sequence):
         (2e-6, 2e-6, [("act", 0.0), ("io", -1.0)], "non-negative"),
     ],
 )
-def test_invalid_charge_raises_and_changes_nothing(start_s, end_s, parts, match):
+def test_invalid_charge_raises_and_changes_nothing(start_s, end_s, parts, match, read_first):
     meter = EnergyMeter(Simulator(), bin_s=BIN_S)
-    meter.charge("mem", 0.5e-6, 2.5e-6, [("act", 3e-9), ("tsvs", 1e-9)])
-    before = _snapshot(meter, 5e-6)
+    clean = EnergyMeter(Simulator(), bin_s=BIN_S)
+    for m in (meter, clean):
+        m.charge("mem", 0.5e-6, 2.5e-6, [("act", 3e-9), ("tsvs", 1e-9)])
+    if read_first:
+        meter.power_trace("mem", 5e-6)
+    logged = _logged(meter)
     with pytest.raises(ValueError, match=match):
         meter.charge("mem", start_s, end_s, parts)
-    assert _snapshot(meter, 5e-6) == before
+    assert _logged(meter) == logged
+    assert _snapshot(meter, 5e-6) == _snapshot(clean, 5e-6)
 
 
 def test_trace_past_the_last_bin_reads_zero():

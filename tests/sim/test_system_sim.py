@@ -11,6 +11,7 @@ from repro.arch.system import RpuSystem
 from repro.memory.sku import sku_for_system
 from repro.models.llama3 import LLAMA3_8B
 from repro.models.workload import Workload
+from repro.sim import system_sim
 from repro.sim.system_sim import simulate_decode_step
 
 
@@ -126,6 +127,29 @@ class TestValidation:
         two = simulate_decode_step(RpuSystem(64), workload, detail_cores=2)
         assert two.latency_s == pytest.approx(one.latency_s, rel=0.05)
 
+    def test_only_core0_records_traces(self, monkeypatch):
+        contexts = []
+        run_core = system_sim.run_core
+
+        def spy(ctx, program):
+            contexts.append(ctx)
+            return run_core(ctx, program)
+
+        monkeypatch.setattr(system_sim, "run_core", spy)
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        result = simulate_decode_step(RpuSystem(64), workload, detail_cores=3)
+        first, *others = contexts
+        assert len(others) == 2
+        assert result.mem_trace is first.mem_trace and result.mem_trace.intervals
+        assert result.comp_trace is first.comp_trace
+        assert result.net_trace is first.net_trace
+        assert result.mem_buffer_trace is first.mem_buffer.occupancy_trace
+        assert result.net_buffer_trace is first.net_buffer.occupancy_trace
+        for ctx in others:
+            assert ctx.mem_trace is ctx.comp_trace is ctx.net_trace is None
+            assert ctx.mem_buffer.occupancy_trace is None
+            assert ctx.net_buffer.occupancy_trace is None
+
     def test_energy_meter_power_trace_integrates(self):
         workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
         result = simulate_decode_step(RpuSystem(64), workload)
@@ -177,3 +201,39 @@ class TestOutputPin:
         workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
         result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
         assert self.output_digest(result) == self.PINS["bs32"]
+
+
+class TestCoreTracePin:
+    """Core 0's reported traces at the same two points: the occupancy
+    samples of both buffers and every ``(start, end, kernel, work)``
+    interval of the three pipelines, floats rendered by ``repr``."""
+
+    PINS = {
+        "bs1": "6a135e62d0673e9be35506762456f565181fe0616898c0fb14bd97c605e2bd52",
+        "bs32": "4bec39cc13fe847142745627c36214a3a5472bd14472e7674fab26a083c18646",
+    }
+
+    @staticmethod
+    def trace_digest(result):
+        row = {
+            "mem_buffer": [[repr(t), repr(b)] for t, b in result.mem_buffer_trace],
+            "net_buffer": [[repr(t), repr(b)] for t, b in result.net_buffer_trace],
+            "pipelines": {
+                trace.name: [
+                    [repr(i.start), repr(i.end), i.kernel, repr(i.work)]
+                    for i in trace.intervals
+                ]
+                for trace in (result.mem_trace, result.comp_trace, result.net_trace)
+            },
+        }
+        return hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
+
+    def test_bs1_core0_traces_are_pinned(self):
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        result = simulate_decode_step(RpuSystem(64), workload, detail_cores=2)
+        assert self.trace_digest(result) == self.PINS["bs1"]
+
+    def test_bs32_core0_traces_are_pinned(self):
+        workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
+        result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
+        assert self.trace_digest(result) == self.PINS["bs32"]
