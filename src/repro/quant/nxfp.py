@@ -62,9 +62,11 @@ class NxfpCodec:
         sub_max = np.abs(subs).max(axis=2)
         safe_sub = np.where(sub_max > 0, sub_max, block_max[:, None])
         safe_sub = np.where(safe_sub > 0, safe_sub, 1.0)
-        headroom = np.floor(
-            np.log2(scales[:, None] * self.element_spec.max_value / safe_sub)
-        )
+        # A subnormal sub-block max overflows the ratio to inf, which the
+        # clip below maps to ``max_offset``, as it should.
+        with np.errstate(over="ignore"):
+            ratio = scales[:, None] * self.element_spec.max_value / safe_sub
+        headroom = np.floor(np.log2(ratio))
         offsets = np.clip(headroom, 0, self.max_offset).astype(np.int8)
 
         sub_scales = scales[:, None] * np.exp2(-offsets.astype(np.float32))

@@ -11,7 +11,9 @@ as arbitration stalls in the traces.
 
 from __future__ import annotations
 
-from repro.sim.kernel import Signal, Simulator
+import heapq
+
+from repro.sim.kernel import Signal, Simulator, Timeout
 
 
 class PipelineArbiter:
@@ -31,6 +33,9 @@ class PipelineArbiter:
         self.access_time_s = access_time_s
         self.priority = {engine: rank for rank, engine in enumerate(priority)}
         self._busy = False
+        # One access slot, yielded by every grant.
+        self._hold = Timeout(access_time_s)
+        # Waiters by (rank, arrival): the heap's root is the next grant.
         self._queue: list[tuple[int, int, Signal]] = []
         self._counter = 0
         self.grants = 0
@@ -47,13 +52,11 @@ class PipelineArbiter:
             self.conflicts += 1
             gate = self.sim.signal()
             self._counter += 1
-            self._queue.append((rank, self._counter, gate))
-            self._queue.sort(key=lambda item: (item[0], item[1]))
+            heapq.heappush(self._queue, (rank, self._counter, gate))
             yield gate
         self._busy = True
         self.grants += 1
-        yield self.sim.timeout(self.access_time_s)
+        yield self._hold
         self._busy = False
         if self._queue:
-            _, _, gate = self._queue.pop(0)
-            gate.fire()
+            heapq.heappop(self._queue)[2].fire()

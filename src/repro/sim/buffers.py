@@ -15,8 +15,6 @@ the memory pipeline can prefetch ahead (Fig 8's lookahead window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.kernel import Signal, Simulator
 
 
@@ -24,11 +22,16 @@ class BufferError(RuntimeError):
     """Raised on protocol violations (double-write, read of absent entry)."""
 
 
-@dataclass
 class _Entry:
-    nbytes: float
-    valid_count: int
-    written: Signal
+    """One allocated entry: its bytes, its valid counter, and whether its
+    data has been committed."""
+
+    __slots__ = ("nbytes", "valid_count", "committed")
+
+    def __init__(self, nbytes: float, valid_count: int):
+        self.nbytes = nbytes
+        self.valid_count = valid_count
+        self.committed = False
 
 
 class SramBuffer:
@@ -82,18 +85,18 @@ class SramBuffer:
 
         if key in self._entries:
             raise BufferError(f"{self.name}: double write to entry {key!r}")
-        entry = _Entry(nbytes=nbytes, valid_count=valid_count, written=self.sim.signal())
-        self._entries[key] = entry
+        self._entries[key] = _Entry(nbytes, valid_count)
         self.occupancy_bytes += nbytes
-        self._record()
+        if self.occupancy_trace is not None:
+            self._record()
 
     def commit(self, key: str) -> None:
         """Publish entry ``key``: the data has landed; wake consumers."""
         entry = self._entries.get(key)
         if entry is None:
             raise BufferError(f"{self.name}: commit of unallocated entry {key!r}")
-        entry.written.fire()
-        for gate in self._read_waiters.pop(key, []):
+        entry.committed = True
+        for gate in self._read_waiters.pop(key, ()):
             gate.fire()
 
     def write(self, key: str, nbytes: float, valid_count: int = 1):
@@ -112,12 +115,13 @@ class SramBuffer:
         it reaches zero.
         """
         start = self.sim.now
-        while key not in self._entries or not self._entries[key].written.fired:
+        entry = self._entries.get(key)
+        while entry is None or not entry.committed:
             gate = self.sim.signal()
             self._read_waiters.setdefault(key, []).append(gate)
             yield gate
+            entry = self._entries.get(key)
         self.read_stall_s += self.sim.now - start
-        entry = self._entries[key]
         if decrement:
             if entry.valid_count <= 0:
                 raise BufferError(f"{self.name}: over-consumed entry {key!r}")
@@ -134,11 +138,11 @@ class SramBuffer:
         if self.occupancy_bytes < -1e-9:
             raise BufferError(f"{self.name}: negative occupancy")
         self.occupancy_bytes = max(self.occupancy_bytes, 0.0)
-        self._record()
+        if self.occupancy_trace is not None:
+            self._record()
         waiters, self._space_waiters = self._space_waiters, []
         for gate in waiters:
             gate.fire()
 
     def _record(self) -> None:
-        if self.occupancy_trace is not None:
-            self.occupancy_trace.append((self.sim.now, self.occupancy_bytes))
+        self.occupancy_trace.append((self.sim.now, self.occupancy_bytes))

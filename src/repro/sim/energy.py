@@ -20,12 +20,31 @@ from repro.sim.kernel import Simulator
 from repro.util.stats import left_sum
 
 
+class EnergyRecord:
+    """The ``(component, joules)`` parts of one energy shape, validated
+    once, when the record is built by :meth:`EnergyMeter.record`.
+
+    ``index`` is the record's place in its meter's table, and
+    ``nonzero`` holds its nonzero joules in part order (what binning
+    adds).
+    """
+
+    __slots__ = ("index", "parts", "nonzero")
+
+    def __init__(self, index: int, parts: tuple[tuple[str, float], ...]):
+        self.index = index
+        self.parts = parts
+        self.nonzero = tuple(joules for _, joules in parts if joules)
+
+
 class EnergyMeter:
     """Accumulates joules by (group, component) and into time bins.
 
-    Totals are kept as charges arrive.  Power bins are built only when a
-    trace is read: each charge is logged, and :meth:`power_trace` bins
-    the part of the log not yet binned.
+    Charges come as records: a record is built once per energy shape
+    and charged once per interval of that shape.  Totals are kept as
+    charges arrive.  Power bins are built only when a trace is read:
+    each charge is logged as its interval and record index, and
+    :meth:`power_trace` bins the part of the log not yet binned.
     """
 
     def __init__(self, sim: Simulator, bin_s: float = 1e-6):
@@ -34,39 +53,38 @@ class EnergyMeter:
         self.sim = sim
         self.bin_s = bin_s
         self.totals: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        #: Charges not yet binned, per group: ``start, end, n`` and the
-        #: interval's ``n`` nonzero joules, back to back.
+        #: Every record built for this meter, by index.
+        self.records: list[EnergyRecord] = []
+        #: Charges not yet binned, per group: ``start, end, index``
+        #: back to back.
         self._log: dict[str, array[float]] = defaultdict(lambda: array("d"))
         #: joules per time bin, indexed by bin number, grown on demand.
         self._bins: dict[str, list[float]] = defaultdict(list)
 
-    def charge(
-        self,
-        group: str,
-        start_s: float,
-        end_s: float,
-        parts: Sequence[tuple[str, float]],
-    ) -> None:
-        """Record the ``(component, joules)`` parts ``group`` spent over
-        one interval.
+    def record(self, parts: Sequence[tuple[str, float]]) -> EnergyRecord:
+        """A new record of ``(component, joules)`` parts, for :meth:`charge`.
 
-        Totals are updated at once; the interval's nonzero parts are
-        logged, in order, for :meth:`power_trace` to bin.
+        A negative part raises here, before the record exists.
         """
-        if end_s < start_s:
-            raise ValueError("end must not precede start")
         for _, joules in parts:
             if joules < 0:
                 raise ValueError("joules must be non-negative")
+        record = EnergyRecord(len(self.records), tuple(parts))
+        self.records.append(record)
+        return record
+
+    def charge(self, group: str, start_s: float, end_s: float, record: EnergyRecord) -> None:
+        """Charge ``record``'s parts to ``group`` over one interval.
+
+        Totals are updated at once, in part order; the interval and the
+        record's index are logged for :meth:`power_trace` to bin.
+        """
+        if end_s < start_s:
+            raise ValueError("end must not precede start")
         totals = self.totals[group]
-        entry = [start_s, end_s, 0.0]
-        for component, joules in parts:
+        for component, joules in record.parts:
             totals[component] += joules
-            if joules:
-                entry.append(joules)
-        if len(entry) > 3:
-            entry[2] = len(entry) - 3
-            self._log[group].fromlist(entry)
+        self._log[group].extend((start_s, end_s, record.index))
 
     def _binned(self, group: str) -> list[float]:
         """``group``'s joules per time bin, binning its logged charges.
@@ -82,13 +100,11 @@ class EnergyMeter:
         if not log:
             return bins
         bin_s = self.bin_s
-        pos = 0
-        while pos < len(log):
+        records = self.records
+        for pos in range(0, len(log), 3):
             start_s = log[pos]
             end_s = log[pos + 1]
-            count = int(log[pos + 2])
-            nonzero = log[pos + 3 : pos + 3 + count]
-            pos += 3 + count
+            nonzero = records[int(log[pos + 2])].nonzero
             first = int(start_s / bin_s)
             instant = end_s == start_s  # simlint: ok[digest-safety] instantaneous-event sentinel, same value both sides
             last = first if instant else int(end_s / bin_s)

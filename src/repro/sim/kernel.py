@@ -28,7 +28,11 @@ class SimulationError(RuntimeError):
 
 
 class Timeout:
-    """Resume the yielding process after ``delay`` simulated seconds."""
+    """Resume the yielding process after ``delay`` simulated seconds.
+
+    It holds nothing but its delay, so one object may be yielded any
+    number of times, by any number of processes.
+    """
 
     __slots__ = ("delay",)
 
@@ -70,43 +74,28 @@ class Signal:
 
 
 class Process:
-    """A running generator; finishes when the generator returns."""
+    """A running generator; finishes when the generator returns.
 
-    __slots__ = ("sim", "generator", "name", "done", "result", "_finished_signal")
+    :meth:`Simulator.run` resumes it and schedules what it yields.
+    """
+
+    __slots__ = ("generator", "name", "done", "result", "_finished_signal")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "proc"):
-        self.sim = sim
         self.generator = generator
         self.name = name
         self.done = False
         self.result: Any = None
         self._finished_signal = Signal(sim)
 
-    def _step(self, send_value: Any = None) -> None:
-        if self.done:
-            raise SimulationError(f"process {self.name} resumed after finishing")
-        try:
-            yielded = self.generator.send(send_value)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            self._finished_signal.fire(stop.value)
-            return
-        if isinstance(yielded, Timeout):
-            self.sim._schedule(yielded.delay, self)
-        elif isinstance(yielded, Signal):
-            yielded._add_waiter(self)
-        elif isinstance(yielded, Process):
-            yielded._finished_signal._add_waiter(self)
-        else:
-            raise SimulationError(
-                f"process {self.name} yielded {yielded!r}; expected "
-                f"Timeout, Signal, or Process"
-            )
-
 
 class Simulator:
-    """The event loop: a time-ordered heap of process resumptions."""
+    """The event loop: a time-ordered heap of process resumptions.
+
+    Heap entries are ``(time, seq, process, value)``; ``seq`` counts
+    every resumption scheduled, so same-time events run in the order
+    they were scheduled.
+    """
 
     def __init__(self):
         self.now = 0.0
@@ -125,9 +114,6 @@ class Simulator:
     def signal(self) -> Signal:
         return Signal(self)
 
-    def timeout(self, delay: float) -> Timeout:
-        return Timeout(delay)
-
     # ------------------------------------------------------------------
     # Scheduling / running
     # ------------------------------------------------------------------
@@ -137,17 +123,46 @@ class Simulator:
         )
 
     def run(self, until: float | None = None) -> float:
-        """Run to quiescence (or to ``until``); returns the final time."""
-        while self._heap:
-            time, _seq, process, value = self._heap[0]
+        """Run to quiescence (or to ``until``); returns the final time.
+
+        Each event resumes its process here.  A yielded :class:`Timeout`
+        goes straight back on the heap, keyed ``(now + delay, seq)``; a
+        :class:`Signal` or :class:`Process` takes the process as a
+        waiter.
+        """
+        heap = self._heap
+        counter = self._counter
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        while heap:
+            time, _seq, process, value = heap[0]
             if until is not None and time > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._heap)
+            heappop(heap)
             if time < self.now:
                 raise SimulationError(
                     f"time went backwards: {time} < {self.now}"
                 )
             self.now = time
-            process._step(value)
+            if process.done:
+                raise SimulationError(f"process {process.name} resumed after finishing")
+            try:
+                yielded = process.generator.send(value)
+            except StopIteration as stop:
+                process.done = True
+                process.result = stop.value
+                process._finished_signal.fire(stop.value)
+                continue
+            if isinstance(yielded, Timeout):
+                heappush(heap, (time + yielded.delay, next(counter), process, None))
+            elif isinstance(yielded, Signal):
+                yielded._add_waiter(process)
+            elif isinstance(yielded, Process):
+                yielded._finished_signal._add_waiter(process)
+            else:
+                raise SimulationError(
+                    f"process {process.name} yielded {yielded!r}; expected "
+                    f"Timeout, Signal, or Process"
+                )
         return self.now

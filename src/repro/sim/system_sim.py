@@ -37,7 +37,7 @@ from repro.quant.stream_decoder import StreamDecoder
 from repro.sim.arbiter import PipelineArbiter
 from repro.sim.buffers import SramBuffer
 from repro.sim.energy import EnergyMeter
-from repro.sim.engines import CoreContext, run_core
+from repro.sim.engines import CoreContext, EnergyRecords, run_core
 from repro.sim.kernel import Simulator
 from repro.sim.resources import BandwidthResource
 from repro.sim.results import SimResult
@@ -67,6 +67,7 @@ def simulate_decode_step(
 
     sim = Simulator()
     meter = EnergyMeter(sim, bin_s=energy_bin_s)
+    records = EnergyRecords()
     spec = system.cu.core.spec
     device_energy = system.cu.memory.energy.as_dict()
 
@@ -100,6 +101,7 @@ def simulate_decode_step(
             link=link,
             arbiter=PipelineArbiter(sim, f"{name}.arbiter"),
             meter=meter,
+            records=records,
             mem_trace=PipelineTrace("memory") if traced else None,
             comp_trace=PipelineTrace("compute") if traced else None,
             net_trace=PipelineTrace("network") if traced else None,

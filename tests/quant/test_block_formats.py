@@ -120,6 +120,18 @@ class TestProperties:
         out = NxfpCodec().quantize(x)
         assert out.shape == x.shape
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nxfp_subnormal_sub_block_takes_max_offset(self):
+        """A sub-block whose max is a float32 subnormal overflows the
+        headroom ratio; that must not warn, and the sub-block still
+        takes the largest offset."""
+        codec = NxfpCodec()
+        block = np.zeros(32, np.float32)
+        block[0] = 1.0
+        block[8] = np.float32(1e-40)
+        offsets = codec.encode(block).extra["offsets"]
+        assert offsets[0, 1] == codec.max_offset
+
     def test_nxfp_missing_offsets_rejected(self):
         codec = NxfpCodec()
         enc = codec.encode(np.ones(32, np.float32))

@@ -144,6 +144,32 @@ def test_allocate_commit_two_phase():
     assert seen == [7.0]
 
 
+def test_reader_waits_on_allocated_uncommitted_entry():
+    """An entry that is allocated but not yet committed blocks a reader
+    until the commit, and the wait counts as a read stall."""
+    sim = Simulator()
+    buf = SramBuffer(sim, "b", 100)
+    seen = []
+
+    def writer():
+        yield from buf.allocate("x", 10)
+        yield Timeout(7.0)
+        buf.commit("x")
+
+    def reader():
+        yield Timeout(1.0)
+        assert buf.contains("x")
+        yield from buf.read("x")
+        seen.append(sim.now)
+
+    sim.process(writer())
+    sim.process(reader())
+    sim.run()
+    assert seen == [7.0]
+    assert buf.read_stall_s == 6.0
+    assert not buf.contains("x")
+
+
 def test_occupancy_trace_records_changes():
     def scenario(sim, buf):
         yield from buf.write("a", 60)

@@ -1,11 +1,12 @@
 """EnergyMeter.charge against the per-component reference it replaced.
 
-``charge`` logs one pipeline interval's parts, and ``power_trace`` bins
-the logged intervals in a single walk over each one's time bins.  The
-oracle below charges each part on its own, walking the bins again every
-time, exactly as the meter once did; every total and every power bin
-must come out identical under ``==``, however reads and charges
-interleave.
+``charge`` charges one pipeline interval a record of ``(component,
+joules)`` parts, built once per shape by ``record``, and ``power_trace``
+bins the logged intervals in a single walk over each one's time bins.
+The oracle below charges each part on its own, walking the bins again
+every time, exactly as the meter once did; every total and every power
+bin must come out identical under ``==``, however records are shared
+and however reads, charges and record builds interleave.
 """
 
 from collections import defaultdict
@@ -85,17 +86,27 @@ def intervals(draw):
 
 
 @st.composite
+def shapes(draw):
+    """One energy shape's parts: 1-6 distinct components, zeros allowed."""
+    components = draw(
+        st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=6, unique=True)
+    )
+    return [(component, draw(joules_st)) for component in components]
+
+
+@st.composite
 def charge_sequences(draw):
+    """1-12 charges, each of a shape drawn from a pool of 1-12: every
+    charge may have a shape of its own, or shapes may repeat, within a
+    group and across groups."""
     groups = GROUPS[: draw(st.integers(1, 3))]
+    pool = draw(st.lists(shapes(), min_size=1, max_size=12))
     sequence = []
     for _ in range(draw(st.integers(1, 12))):
         start_s, end_s = draw(intervals())
-        components = draw(
-            st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=6, unique=True)
-        )
-        parts = [(component, draw(joules_st)) for component in components]
-        sequence.append((draw(st.sampled_from(groups)), start_s, end_s, parts))
-    return sequence
+        shape = draw(st.integers(0, len(pool) - 1))
+        sequence.append((draw(st.sampled_from(groups)), start_s, end_s, shape))
+    return pool, sequence
 
 
 def _snapshot(meter, until_s):
@@ -118,20 +129,26 @@ def _assert_reads_match(meter, oracle, until_s):
 
 @settings(deadline=None)
 @given(charge_sequences(), st.data())
-def test_charge_matches_per_component_reference(sequence, data):
+def test_charge_matches_per_component_reference(charges, data):
     """Traces read after a random prefix of the charges, then again
-    after more charges, all equal the oracle's."""
+    after more charges, all equal the oracle's.  A shape's record is
+    built when it is first charged, as the engines build theirs."""
+    pool, sequence = charges
     meter = EnergyMeter(Simulator(), bin_s=BIN_S)
     oracle = PerComponentMeter(BIN_S)
+    records = {}
     until_s = max(end for _, _, end, _ in sequence) + 3 * BIN_S
     reads = set(
         data.draw(st.lists(st.integers(0, len(sequence) - 1), max_size=3), label="reads")
     )
-    for index, (group, start_s, end_s, parts) in enumerate(sequence):
+    for index, (group, start_s, end_s, shape) in enumerate(sequence):
         if index in reads:
             _assert_reads_match(meter, oracle, until_s)
-        meter.charge(group, start_s, end_s, parts)
-        oracle.charge(group, start_s, end_s, parts)
+        if shape not in records:
+            records[shape] = meter.record(pool[shape])
+        meter.charge(group, start_s, end_s, records[shape])
+        oracle.charge(group, start_s, end_s, pool[shape])
+    assert meter.records == [records[shape] for shape in records]
     _assert_reads_match(meter, oracle, until_s)
     # Every charge is binned now; reading again changes nothing.
     assert all(not log for log in _logged(meter).values())
@@ -140,30 +157,55 @@ def test_charge_matches_per_component_reference(sequence, data):
 
 @pytest.mark.parametrize("read_first", [False, True])
 @pytest.mark.parametrize(
-    "start_s, end_s, parts, match",
+    "start_s, end_s, parts, raises_at, match",
     [
-        (1e-6, 3e-6, [("act", 1e-9), ("io", -1e-12)], "non-negative"),
-        (3e-6, 1e-6, [("act", 1e-9), ("io", 2e-9)], "precede"),
-        (2e-6, 2e-6, [("act", 0.0), ("io", -1.0)], "non-negative"),
+        (1e-6, 3e-6, [("act", 1e-9), ("io", -1e-12)], "record", "non-negative"),
+        (3e-6, 1e-6, [("act", 1e-9), ("io", 2e-9)], "charge", "precede"),
+        (2e-6, 2e-6, [("act", 0.0), ("io", -1.0)], "record", "non-negative"),
     ],
 )
-def test_invalid_charge_raises_and_changes_nothing(start_s, end_s, parts, match, read_first):
+def test_invalid_charge_raises_and_changes_nothing(
+    start_s, end_s, parts, raises_at, match, read_first
+):
+    """A negative part raises when its record is built, an interval
+    that ends before it starts when it is charged; either way totals,
+    bins and the log are untouched."""
     meter = EnergyMeter(Simulator(), bin_s=BIN_S)
     clean = EnergyMeter(Simulator(), bin_s=BIN_S)
     for m in (meter, clean):
-        m.charge("mem", 0.5e-6, 2.5e-6, [("act", 3e-9), ("tsvs", 1e-9)])
+        m.charge("mem", 0.5e-6, 2.5e-6, m.record([("act", 3e-9), ("tsvs", 1e-9)]))
     if read_first:
         meter.power_trace("mem", 5e-6)
     logged = _logged(meter)
-    with pytest.raises(ValueError, match=match):
-        meter.charge("mem", start_s, end_s, parts)
+    if raises_at == "record":
+        with pytest.raises(ValueError, match=match):
+            meter.record(parts)
+        assert len(meter.records) == 1
+    else:
+        record = meter.record(parts)
+        with pytest.raises(ValueError, match=match):
+            meter.charge("mem", start_s, end_s, record)
     assert _logged(meter) == logged
     assert _snapshot(meter, 5e-6) == _snapshot(clean, 5e-6)
 
 
+@pytest.mark.parametrize("num_parts", range(7))
+def test_each_charge_logs_three_floats(num_parts):
+    """Charging one record n times grows the unread log by exactly 3n
+    floats (start, end, record index), whatever the record's parts."""
+    meter = EnergyMeter(Simulator(), bin_s=BIN_S)
+    meter.record([("act", 1e-9)])  # so the charged record's index is 1
+    parts = [(c, 1e-9 * (i % 2)) for i, c in enumerate(COMPONENTS[:num_parts])]
+    record = meter.record(parts)
+    for n in range(1, 6):
+        meter.charge("comp", n * BIN_S, (n + 0.5) * BIN_S, record)
+        assert len(meter._log["comp"]) == 3 * n
+    assert list(meter._log["comp"])[-3:] == [5 * BIN_S, 5.5 * BIN_S, 1.0]
+
+
 def test_trace_past_the_last_bin_reads_zero():
     meter = EnergyMeter(Simulator(), bin_s=BIN_S)
-    meter.charge("net", 0.0, 0.0, [("io", 2e-6)])
+    meter.charge("net", 0.0, 0.0, meter.record([("io", 2e-6)]))
     times, watts = meter.power_trace("net", 3.5e-6)
     assert len(times) == 4
     assert watts == [2e-6 / BIN_S, 0.0, 0.0, 0.0]

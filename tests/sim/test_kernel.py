@@ -124,8 +124,77 @@ def test_invalid_yield_raises():
     def proc():
         yield 42
 
+    sim.process(proc(), "core7.comp")
+    with pytest.raises(SimulationError, match=r"process core7\.comp yielded 42"):
+        sim.run()
+
+
+def test_shared_timeout_object_resumes_each_yielder():
+    """One Timeout yielded by several processes, again and again, puts
+    each back at its own clock plus the delay, same-time ones in FIFO
+    order."""
+    sim = Simulator()
+    wait = Timeout(2.0)
+    log = []
+
+    def proc(tag, start):
+        yield Timeout(start)
+        for _ in range(2):
+            yield wait
+            log.append((tag, sim.now))
+
+    sim.process(proc("a", 0.0))
+    sim.process(proc("b", 1.0))
+    sim.process(proc("c", 0.0))
+    sim.run()
+    assert log == [
+        ("a", 2.0), ("c", 2.0), ("b", 3.0), ("a", 4.0), ("c", 4.0), ("b", 5.0)
+    ]
+
+
+def test_timeout_subclass_schedules():
+    class Pause(Timeout):
+        __slots__ = ()
+
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield Pause(0.5)
+        log.append(sim.now)
+        yield Timeout(0.25)
+        log.append(sim.now)
+
     sim.process(proc())
-    with pytest.raises(SimulationError, match="yielded"):
+    assert sim.run() == 0.75
+    assert log == [0.5, 0.75]
+
+
+def test_resuming_a_finished_process_raises():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+
+    process = sim.process(proc(), "worker")
+    sim.run()
+    assert process.done
+    sim._schedule(0.0, process)
+    with pytest.raises(SimulationError, match="worker resumed after finishing"):
+        sim.run()
+
+
+def test_time_running_backwards_raises():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+        yield Timeout(1.0)
+
+    process = sim.process(proc())
+    sim.run(until=1.5)
+    sim._schedule(-1.0, process)
+    with pytest.raises(SimulationError, match="time went backwards"):
         sim.run()
 
 

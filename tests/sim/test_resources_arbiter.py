@@ -121,6 +121,31 @@ class TestArbiter:
         sim.run()
         assert order == ["memory", "compute", "mystery"]
 
+    def test_mixed_waiters_granted_by_rank_then_arrival(self):
+        """Five waiters of interleaved ranks queue behind a holder; a
+        network request arriving mid-grant still goes next."""
+        sim = Simulator()
+        arbiter = PipelineArbiter(sim, "a", access_time_s=1.0)
+        order = []
+
+        def engine(tag, name, start):
+            yield Timeout(start)
+            yield from arbiter.access(name)
+            order.append((tag, sim.now))
+
+        sim.process(engine("m0", "memory", 0.0))  # holds the port first
+        sim.process(engine("m1", "memory", 0.1))
+        sim.process(engine("c1", "compute", 0.2))
+        sim.process(engine("x1", "mystery", 0.3))
+        sim.process(engine("c2", "compute", 0.4))
+        sim.process(engine("n1", "network", 1.5))  # arrives while c1 holds
+        sim.run()
+        assert order == [
+            ("m0", 1.0), ("c1", 2.0), ("n1", 3.0), ("c2", 4.0), ("m1", 5.0), ("x1", 6.0)
+        ]
+        assert arbiter.grants == 6
+        assert arbiter.conflicts == 5
+
     def test_rejects_negative_access_time(self):
         with pytest.raises(ValueError):
             PipelineArbiter(Simulator(), "a", access_time_s=-1.0)

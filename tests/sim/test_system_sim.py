@@ -32,6 +32,13 @@ def bs32_result():
     return simulate_decode_step(_bs32_system(workload), workload)
 
 
+@pytest.fixture(scope="module")
+def sixteen_core_result():
+    """All 16 cores of one CU: their arbiters queue (109 conflicts)."""
+    workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+    return simulate_decode_step(RpuSystem(64), workload, detail_cores=16)
+
+
 class TestBs1:
     def test_memory_bandwidth_saturated(self, bs1_result):
         """Paper: at BS=1 the RPU saturates memory bandwidth."""
@@ -150,6 +157,30 @@ class TestValidation:
             assert ctx.mem_buffer.occupancy_trace is None
             assert ctx.net_buffer.occupancy_trace is None
 
+    def test_one_record_table_per_simulation(self, monkeypatch):
+        """A simulation's cores share one table of energy records, each
+        shape built once; the next simulation starts a new table."""
+        tables = []
+        run_core = system_sim.run_core
+
+        def spy(ctx, program):
+            tables.append(ctx.records)
+            return run_core(ctx, program)
+
+        monkeypatch.setattr(system_sim, "run_core", spy)
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        results = [
+            simulate_decode_step(RpuSystem(64), workload, detail_cores=3) for _ in range(2)
+        ]
+        assert tables[0] is tables[1] is tables[2]
+        assert tables[3] is tables[4] is tables[5]
+        assert tables[0] is not tables[3]
+        for table, result in zip((tables[0], tables[3]), results):
+            built = [*table.mem.values(), *table.comp.values(), *table.net.values()]
+            assert sorted(r.index for r in built) == list(range(len(built)))
+            assert all(result.meter.records[r.index] is r for r in built)
+            assert len(result.meter.records) == len(built)
+
     def test_energy_meter_power_trace_integrates(self):
         workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
         result = simulate_decode_step(RpuSystem(64), workload)
@@ -159,14 +190,17 @@ class TestValidation:
 
 
 class TestOutputPin:
-    """The whole simulated output of two small points, power bins
+    """The whole simulated output of three small points, power bins
     included, hashed with every float rendered by ``repr``: a change to
     the engines, the meter or the event order that moves any bit fails
-    here."""
+    here.  The two ``detail_cores=2`` points never queue at BS=32 and
+    rarely at BS=1; the 16-core point queues 109 times, so it also pins
+    the arbiter's wait order."""
 
     PINS = {
         "bs1": "f0043473cfdf360fb06de08b8df6f1923381c12069c95e402a5ac4cb6d67056c",
         "bs32": "b173ebeae67db7f83cb779050eb323aeab77c15e6def1a68f85ee8a21575722e",
+        "bs1_16core": "9f32a80e842d0a5c30d72acdc4f7779dc488496a710ccd248289ef3901d24034",
     }
 
     @staticmethod
@@ -202,15 +236,20 @@ class TestOutputPin:
         result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
         assert self.output_digest(result) == self.PINS["bs32"]
 
+    def test_16core_output_is_pinned(self, sixteen_core_result):
+        assert sixteen_core_result.arbitration == {"grants": 13424, "conflicts": 109}
+        assert self.output_digest(sixteen_core_result) == self.PINS["bs1_16core"]
+
 
 class TestCoreTracePin:
-    """Core 0's reported traces at the same two points: the occupancy
+    """Core 0's reported traces at the same three points: the occupancy
     samples of both buffers and every ``(start, end, kernel, work)``
     interval of the three pipelines, floats rendered by ``repr``."""
 
     PINS = {
         "bs1": "6a135e62d0673e9be35506762456f565181fe0616898c0fb14bd97c605e2bd52",
         "bs32": "4bec39cc13fe847142745627c36214a3a5472bd14472e7674fab26a083c18646",
+        "bs1_16core": "2ec8b060501705c74f3429c617fba1970bf3cda6b8e3471bec0bf56cde079322",
     }
 
     @staticmethod
@@ -237,3 +276,6 @@ class TestCoreTracePin:
         workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
         result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
         assert self.trace_digest(result) == self.PINS["bs32"]
+
+    def test_16core_core0_traces_are_pinned(self, sixteen_core_result):
+        assert self.trace_digest(sixteen_core_result) == self.PINS["bs1_16core"]
