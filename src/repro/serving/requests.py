@@ -646,6 +646,15 @@ class TrafficSpec(RequestShape):
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
         if not self.burst_factor >= 1.0:
             raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
+        if self.classes is None and not self.tenants:
+            # The classes this spec builds itself take TrafficClass's
+            # default min_len, so check their mean lengths now.
+            for name in ("prompt_mean", "decode_mean"):
+                if getattr(self, name) < TrafficClass.min_len:
+                    raise ValueError(
+                        f"{name} must be >= {TrafficClass.min_len} (a traffic "
+                        f"class's min_len), got {getattr(self, name)}"
+                    )
         if not self.tenants:
             return
         check_roster_names(self.tenants)

@@ -11,7 +11,7 @@ data), reproducing the decoupled-pipeline behaviour of the reasoning core:
 - :mod:`repro.sim.resources` -- FIFO bandwidth resources (memory channels,
   ring links);
 - :mod:`repro.sim.engines` -- the three DMA/pipeline engines per core;
-- :mod:`repro.sim.energy` -- per-component energy metering and power traces;
+- :mod:`repro.sim.energy` -- per-component energy totals;
 - :mod:`repro.sim.trace` -- utilization timelines and buffer occupancy;
 - :mod:`repro.sim.system_sim` -- representative-CU simulation of an N-CU
   system (all CUs are symmetric under column sharding, so one CU is

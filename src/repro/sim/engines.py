@@ -104,7 +104,7 @@ def _memory_record(ctx: CoreContext, nbytes: float) -> EnergyRecord:
     bits = nbytes * 8
     device = ctx.device_energy
     wire = ENERGY.bus_pj_per_bit_mm * MEM_PATH_WIRE_MM
-    record = ctx.meter.record((
+    record = EnergyRecord((
         ("act", bits * device["activation"] * _PJ),
         ("mov-mem", bits * device["movement"] * _PJ),
         ("tsvs", bits * device["tsv"] * _PJ),
@@ -155,7 +155,7 @@ def _compute_record(ctx: CoreContext, shape: tuple[str, float, float, float]) ->
     if out_bytes:
         bits = out_bytes * 8
         parts.append(("act-sram", bits * ENERGY.sram_write_pj_per_bit * _PJ))
-    record = ctx.meter.record(parts)
+    record = EnergyRecord(parts)
     ctx.records.comp[shape] = record
     return record
 
@@ -198,7 +198,7 @@ def network_engine(ctx: CoreContext, stream: list[NetCollective | NetForward]):
 
 def _network_record(ctx: CoreContext, nbytes: float) -> EnergyRecord:
     bits = nbytes * 8
-    record = ctx.meter.record((
+    record = EnergyRecord((
         ("io", bits * ENERGY.ucie_in_package_pj_per_bit * _PJ),
         ("sram_w", bits * ENERGY.sram_write_pj_per_bit * _PJ),
     ))
@@ -206,10 +206,8 @@ def _network_record(ctx: CoreContext, nbytes: float) -> EnergyRecord:
     return record
 
 
-def run_core(ctx: CoreContext, program: CoreProgram) -> list:
-    """Spawn the three engine processes; returns them for joining."""
-    return [
-        ctx.sim.process(memory_engine(ctx, program.mem), f"{ctx.name}.mem"),
-        ctx.sim.process(compute_engine(ctx, program.comp), f"{ctx.name}.comp"),
-        ctx.sim.process(network_engine(ctx, program.net), f"{ctx.name}.net"),
-    ]
+def run_core(ctx: CoreContext, program: CoreProgram) -> None:
+    """Spawn the core's three engine processes."""
+    ctx.sim.process(memory_engine(ctx, program.mem), f"{ctx.name}.mem")
+    ctx.sim.process(compute_engine(ctx, program.comp), f"{ctx.name}.comp")
+    ctx.sim.process(network_engine(ctx, program.net), f"{ctx.name}.net")

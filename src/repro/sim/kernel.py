@@ -79,13 +79,12 @@ class Process:
     :meth:`Simulator.run` resumes it and schedules what it yields.
     """
 
-    __slots__ = ("generator", "name", "done", "result", "_finished_signal")
+    __slots__ = ("generator", "name", "done", "_finished_signal")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "proc"):
         self.generator = generator
         self.name = name
         self.done = False
-        self.result: Any = None
         self._finished_signal = Signal(sim)
 
 
@@ -151,7 +150,6 @@ class Simulator:
                 yielded = process.generator.send(value)
             except StopIteration as stop:
                 process.done = True
-                process.result = stop.value
                 process._finished_signal.fire(stop.value)
                 continue
             if isinstance(yielded, Timeout):

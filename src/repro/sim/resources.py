@@ -1,8 +1,7 @@
 """FIFO bandwidth resources: memory channels, buses and ring links.
 
 A transfer of N bytes over a resource of bandwidth B occupies it for N/B
-seconds; concurrent requests serialize in arrival order.  Busy time is
-accumulated so the traces can report per-pipeline utilization.
+seconds; concurrent requests serialize in arrival order.
 """
 
 from __future__ import annotations
@@ -11,48 +10,26 @@ from repro.sim.kernel import Simulator, Timeout
 
 
 class BandwidthResource:
-    """A serially-shared link with fixed bandwidth and optional latency."""
+    """A serially-shared link with fixed bandwidth."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        bandwidth_bytes_per_s: float,
-        latency_s: float = 0.0,
-    ):
+    def __init__(self, sim: Simulator, name: str, bandwidth_bytes_per_s: float):
         if bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
         self.sim = sim
         self.name = name
         self.bandwidth = bandwidth_bytes_per_s
-        self.latency_s = latency_s
         self._available_at = 0.0
-        self.busy_s = 0.0
-        self.bytes_moved = 0.0
 
     def transfer(self, nbytes: float):
         """Process phase: move ``nbytes``; returns after the last byte lands.
 
-        FIFO semantics: the transfer starts when the link frees up; the
-        fixed latency overlaps neither queueing nor occupancy.  Returns
-        the ``(start, end)`` interval the link was occupied.
+        FIFO semantics: the transfer starts when the link frees up.
+        Returns the ``(start, end)`` interval the link was occupied.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         start = max(self.sim.now, self._available_at)
-        duration = nbytes / self.bandwidth
-        finish = start + duration
+        finish = start + nbytes / self.bandwidth
         self._available_at = finish
-        self.busy_s += duration
-        self.bytes_moved += nbytes
-        delay = (finish - self.sim.now) + self.latency_s
-        yield Timeout(delay)
+        yield Timeout(finish - self.sim.now)
         return (start, finish)
-
-    def utilization(self, elapsed_s: float) -> float:
-        """Busy fraction over an elapsed window."""
-        if elapsed_s <= 0:
-            return 0.0
-        return min(self.busy_s / elapsed_s, 1.0)

@@ -28,9 +28,9 @@ decode cost, checked where the fleet runs").
 
 from __future__ import annotations
 
-from repro.arch.specs import CORES_PER_CU
+from repro.arch.specs import CORES_PER_CU, RING_LINK_BANDWIDTH_BYTES_PER_S
 from repro.arch.system import RpuSystem
-from repro.compiler.lowering import DEFAULT_CHUNK_BYTES, compile_decode_step
+from repro.compiler.lowering import compile_decode_step
 from repro.isa.program import Program
 from repro.models.workload import Workload
 from repro.quant.stream_decoder import StreamDecoder
@@ -51,10 +51,12 @@ def simulate_decode_step(
     *,
     program: Program | None = None,
     detail_cores: int = 1,
-    chunk_bytes: float = DEFAULT_CHUNK_BYTES,
-    energy_bin_s: float = 1e-6,
 ) -> SimResult:
-    """Simulate one decode step; returns traces, energy and latency."""
+    """Simulate one decode step; returns traces, energy and latency.
+
+    ``program`` defaults to ``compile_decode_step(workload, system)``;
+    compile one yourself for another chunk size.
+    """
     if not 1 <= detail_cores <= CORES_PER_CU:
         raise ValueError(f"detail_cores must be in [1, {CORES_PER_CU}]")
     if not system.fits(workload.memory_footprint_bytes()):
@@ -63,17 +65,15 @@ def simulate_decode_step(
             f"({workload.memory_footprint_bytes() / 1e9:.1f} GB)"
         )
     if program is None:
-        program = compile_decode_step(workload, system, chunk_bytes=chunk_bytes)
+        program = compile_decode_step(workload, system)
 
     sim = Simulator()
-    meter = EnergyMeter(sim, bin_s=energy_bin_s)
+    meter = EnergyMeter()
     records = EnergyRecords()
     spec = system.cu.core.spec
     device_energy = system.cu.memory.energy.as_dict()
 
     # The CU's ring interface, scaled to the simulated cores' share.
-    from repro.arch.specs import RING_LINK_BANDWIDTH_BYTES_PER_S
-
     link = BandwidthResource(
         sim,
         "cu-link",
@@ -81,7 +81,6 @@ def simulate_decode_step(
     )
 
     contexts: list[CoreContext] = []
-    processes = []
     for index in range(detail_cores):
         name = f"core{index}"
         # Only core 0's traces are reported, so only core 0 records any.
@@ -112,7 +111,7 @@ def simulate_decode_step(
             decoder=StreamDecoder(clock_hz=spec.clock_hz),
         )
         contexts.append(ctx)
-        processes.extend(run_core(ctx, program.core))
+        run_core(ctx, program.core)
 
     latency = sim.run()
 

@@ -269,6 +269,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="burst_factor"):
             TrafficSpec(burst_factor=0.5)
 
+    @pytest.mark.parametrize("field", ["prompt_mean", "decode_mean"])
+    def test_spec_mean_below_class_min_len_raises_when_built(self, field):
+        """A spec that builds its own classes checks their mean lengths
+        against the classes' min_len when the spec is built, naming the
+        field; with explicit classes it has no classes of its own."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= 16"):
+            TrafficSpec(**{field: 8})
+        TrafficSpec(**{field: 16})
+        TrafficSpec(classes=(TrafficClass(LLAMA3_70B),), **{field: 8})
+
 
 class TestReasoningTraffic:
     """PR 10: multi-turn CoT, tool pauses, self-consistency fan-out."""

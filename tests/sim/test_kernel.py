@@ -107,6 +107,28 @@ def test_process_join():
     assert log == [("done", 3.0)]
 
 
+def test_join_after_finish_gets_the_value():
+    """Joining a process that has already finished resumes at once,
+    and every joiner gets the value its generator returned."""
+    sim = Simulator()
+    log = []
+
+    def child():
+        yield Timeout(1.0)
+        return "done"
+
+    def parent(tag, child_process, start):
+        yield Timeout(start)
+        result = yield child_process
+        log.append((tag, result, sim.now))
+
+    child_process = sim.process(child(), "child")
+    sim.process(parent("early", child_process, 0.5))
+    sim.process(parent("late", child_process, 2.0))
+    sim.run()
+    assert log == [("early", "done", 1.0), ("late", "done", 2.0)]
+
+
 def test_run_until_stops_early():
     sim = Simulator()
 

@@ -34,33 +34,39 @@ class TestBandwidthResource:
         sim.process(proc())
         sim.run()
         assert spans == [(0.0, 1.0), (1.0, 2.0)]
-        assert link.busy_s == pytest.approx(2.0)
-        assert link.bytes_moved == 200.0
 
-    def test_latency_added_after_occupancy(self):
-        sim = Simulator()
-        link = BandwidthResource(sim, "l", 100.0, latency_s=0.25)
-        done = []
-
-        def proc():
-            yield from link.transfer(100.0)
-            done.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert done == [1.25]
-
-    def test_utilization(self):
+    def test_idle_link_starts_at_once(self):
+        """A transfer that finds the link idle starts at the current
+        time, not when the link last freed."""
         sim = Simulator()
         link = BandwidthResource(sim, "l", 100.0)
+        log = []
 
-        def proc():
-            yield from link.transfer(50.0)
+        def proc(start):
+            yield Timeout(start)
+            span = yield from link.transfer(100.0)
+            log.append((span, sim.now))
 
-        sim.process(proc())
+        sim.process(proc(0.0))
+        sim.process(proc(3.0))
         sim.run()
-        assert link.utilization(1.0) == pytest.approx(0.5)
-        assert link.utilization(0.0) == 0.0
+        assert log == [((0.0, 1.0), 1.0), ((3.0, 4.0), 4.0)]
+
+    def test_zero_byte_transfer_waits_its_turn(self):
+        """An empty transfer still queues behind the one holding the
+        link and resumes when that one finishes."""
+        sim = Simulator()
+        link = BandwidthResource(sim, "l", 100.0)
+        log = []
+
+        def proc(nbytes):
+            span = yield from link.transfer(nbytes)
+            log.append((span, sim.now))
+
+        sim.process(proc(100.0))
+        sim.process(proc(0.0))
+        sim.run()
+        assert log == [((0.0, 1.0), 1.0), ((1.0, 1.0), 1.0)]
 
     def test_rejects_bad_args(self):
         sim = Simulator()

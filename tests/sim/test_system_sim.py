@@ -11,7 +11,8 @@ from repro.arch.system import RpuSystem
 from repro.memory.sku import sku_for_system
 from repro.models.llama3 import LLAMA3_8B
 from repro.models.workload import Workload
-from repro.sim import system_sim
+from repro.sim import engines, system_sim
+from repro.sim.energy import EnergyRecord
 from repro.sim.system_sim import simulate_decode_step
 
 
@@ -21,7 +22,8 @@ def bs1_result():
     return simulate_decode_step(RpuSystem(64), workload)
 
 
-def _bs32_system(workload):
+def _sized_system(workload):
+    """64 CUs with the memory SKU ``workload``'s footprint needs."""
     sku = sku_for_system(workload.memory_footprint_bytes(), 128)
     return RpuSystem.with_memory(64, sku)
 
@@ -29,14 +31,32 @@ def _bs32_system(workload):
 @pytest.fixture(scope="module")
 def bs32_result():
     workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
-    return simulate_decode_step(_bs32_system(workload), workload)
+    return simulate_decode_step(_sized_system(workload), workload)
+
+
+#: The CU points whose output and core-0 traces are pinned, by name:
+#: (batch, context, memory sized to the footprint, simulated cores).
+#: Each runs Llama3-8B on 64 CUs.  The two 2-core points never queue at
+#: BS=32 and rarely at BS=1; all 16 cores of one CU queue 109 times, so
+#: the last point also pins the arbiter's wait order.
+PIN_POINTS = {
+    "bs1": (1, 4096, False, 2),
+    "bs32": (32, 8192, True, 2),
+    "bs1_16core": (1, 4096, False, 16),
+}
+
+
+def simulate_pin_point(name):
+    batch, seq_len, sized, detail_cores = PIN_POINTS[name]
+    workload = Workload(LLAMA3_8B, batch_size=batch, seq_len=seq_len)
+    system = _sized_system(workload) if sized else RpuSystem(64)
+    return simulate_decode_step(system, workload, detail_cores=detail_cores)
 
 
 @pytest.fixture(scope="module")
-def sixteen_core_result():
-    """All 16 cores of one CU: their arbiters queue (109 conflicts)."""
-    workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
-    return simulate_decode_step(RpuSystem(64), workload, detail_cores=16)
+def pinned():
+    """Every pinned point's result, simulated once for both pin classes."""
+    return {name: simulate_pin_point(name) for name in PIN_POINTS}
 
 
 class TestBs1:
@@ -140,7 +160,7 @@ class TestValidation:
 
         def spy(ctx, program):
             contexts.append(ctx)
-            return run_core(ctx, program)
+            run_core(ctx, program)
 
         monkeypatch.setattr(system_sim, "run_core", spy)
         workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
@@ -158,49 +178,51 @@ class TestValidation:
             assert ctx.net_buffer.occupancy_trace is None
 
     def test_one_record_table_per_simulation(self, monkeypatch):
-        """A simulation's cores share one table of energy records, each
-        shape built once; the next simulation starts a new table."""
+        """A simulation's cores share one table of energy records, with
+        one record object per shape, built once; the next simulation
+        starts a new table."""
         tables = []
+        built = []
         run_core = system_sim.run_core
 
         def spy(ctx, program):
             tables.append(ctx.records)
-            return run_core(ctx, program)
+            run_core(ctx, program)
+
+        class CountedRecord(EnergyRecord):
+            __slots__ = ()
+
+            def __init__(self, parts):
+                super().__init__(parts)
+                built.append(self)
 
         monkeypatch.setattr(system_sim, "run_core", spy)
+        monkeypatch.setattr(engines, "EnergyRecord", CountedRecord)
         workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
-        results = [
-            simulate_decode_step(RpuSystem(64), workload, detail_cores=3) for _ in range(2)
-        ]
+        for _ in range(2):
+            simulate_decode_step(RpuSystem(64), workload, detail_cores=3)
         assert tables[0] is tables[1] is tables[2]
         assert tables[3] is tables[4] is tables[5]
         assert tables[0] is not tables[3]
-        for table, result in zip((tables[0], tables[3]), results):
-            built = [*table.mem.values(), *table.comp.values(), *table.net.values()]
-            assert sorted(r.index for r in built) == list(range(len(built)))
-            assert all(result.meter.records[r.index] is r for r in built)
-            assert len(result.meter.records) == len(built)
-
-    def test_energy_meter_power_trace_integrates(self):
-        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
-        result = simulate_decode_step(RpuSystem(64), workload)
-        times, watts = result.meter.power_trace("mem", result.latency_s)
-        integrated = sum(watts) * result.meter.bin_s
-        assert integrated == pytest.approx(result.meter.total_j("mem"), rel=0.02)
+        stored = [
+            id(record)
+            for table in (tables[0], tables[3])
+            for shapes in (table.mem, table.comp, table.net)
+            for record in shapes.values()
+        ]
+        assert sorted(stored) == sorted(map(id, built))
+        assert len(set(stored)) == len(stored)
 
 
 class TestOutputPin:
-    """The whole simulated output of three small points, power bins
-    included, hashed with every float rendered by ``repr``: a change to
-    the engines, the meter or the event order that moves any bit fails
-    here.  The two ``detail_cores=2`` points never queue at BS=32 and
-    rarely at BS=1; the 16-core point queues 109 times, so it also pins
-    the arbiter's wait order."""
+    """The whole simulated output of each pinned point, hashed with
+    every float rendered by ``repr``: a change to the engines, the meter
+    or the event order that moves any bit fails here."""
 
     PINS = {
-        "bs1": "f0043473cfdf360fb06de08b8df6f1923381c12069c95e402a5ac4cb6d67056c",
-        "bs32": "b173ebeae67db7f83cb779050eb323aeab77c15e6def1a68f85ee8a21575722e",
-        "bs1_16core": "9f32a80e842d0a5c30d72acdc4f7779dc488496a710ccd248289ef3901d24034",
+        "bs1": "47cebb79be966b5d235755fa98b55bbfde2827816354f17618c4603e77a8ee98",
+        "bs32": "3f55324f163755c08417bf829f82f1fb445e946e768b6d9d911c54d0bfb4f52e",
+        "bs1_16core": "0cbaa56555de48db308dc4027cad3e38e05dedde2a254af3d2ab747b3f47bffd",
     }
 
     @staticmethod
@@ -219,30 +241,22 @@ class TestOutputPin:
                 repr(result.comp_utilization),
                 repr(result.net_utilization),
             ],
-            "power": {
-                group: [repr(w) for w in meter.power_trace(group, result.latency_s)[1]]
-                for group in ("mem", "comp", "net")
-            },
         }
         return hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
 
-    def test_bs1_output_is_pinned(self):
-        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
-        result = simulate_decode_step(RpuSystem(64), workload, detail_cores=2)
-        assert self.output_digest(result) == self.PINS["bs1"]
+    def test_bs1_output_is_pinned(self, pinned):
+        assert self.output_digest(pinned["bs1"]) == self.PINS["bs1"]
 
-    def test_bs32_output_is_pinned(self):
-        workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
-        result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
-        assert self.output_digest(result) == self.PINS["bs32"]
+    def test_bs32_output_is_pinned(self, pinned):
+        assert self.output_digest(pinned["bs32"]) == self.PINS["bs32"]
 
-    def test_16core_output_is_pinned(self, sixteen_core_result):
-        assert sixteen_core_result.arbitration == {"grants": 13424, "conflicts": 109}
-        assert self.output_digest(sixteen_core_result) == self.PINS["bs1_16core"]
+    def test_16core_output_is_pinned(self, pinned):
+        assert pinned["bs1_16core"].arbitration == {"grants": 13424, "conflicts": 109}
+        assert self.output_digest(pinned["bs1_16core"]) == self.PINS["bs1_16core"]
 
 
 class TestCoreTracePin:
-    """Core 0's reported traces at the same three points: the occupancy
+    """Core 0's reported traces at each pinned point: the occupancy
     samples of both buffers and every ``(start, end, kernel, work)``
     interval of the three pipelines, floats rendered by ``repr``."""
 
@@ -267,15 +281,11 @@ class TestCoreTracePin:
         }
         return hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
 
-    def test_bs1_core0_traces_are_pinned(self):
-        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
-        result = simulate_decode_step(RpuSystem(64), workload, detail_cores=2)
-        assert self.trace_digest(result) == self.PINS["bs1"]
+    def test_bs1_core0_traces_are_pinned(self, pinned):
+        assert self.trace_digest(pinned["bs1"]) == self.PINS["bs1"]
 
-    def test_bs32_core0_traces_are_pinned(self):
-        workload = Workload(LLAMA3_8B, batch_size=32, seq_len=8192)
-        result = simulate_decode_step(_bs32_system(workload), workload, detail_cores=2)
-        assert self.trace_digest(result) == self.PINS["bs32"]
+    def test_bs32_core0_traces_are_pinned(self, pinned):
+        assert self.trace_digest(pinned["bs32"]) == self.PINS["bs32"]
 
-    def test_16core_core0_traces_are_pinned(self, sixteen_core_result):
-        assert self.trace_digest(sixteen_core_result) == self.PINS["bs1_16core"]
+    def test_16core_core0_traces_are_pinned(self, pinned):
+        assert self.trace_digest(pinned["bs1_16core"]) == self.PINS["bs1_16core"]
