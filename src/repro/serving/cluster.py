@@ -96,7 +96,7 @@ from typing import ClassVar
 
 from repro.models.config import ModelConfig
 from repro.models.dtypes import DType
-from repro.models.kv_cache import kv_cache_bytes
+from repro.models.kv_cache import kv_bytes_per_token, kv_cache_bytes
 from repro.models.workload import Workload
 from repro.obs import (
     ADMIT_WAIT,
@@ -118,9 +118,9 @@ from repro.serving.engine import EventCalendar, run_loop
 from repro.serving.kvstore import KvBlockStore, SwapPolicy, swap_recompute_costs
 from repro.serving.requests import Request
 from repro.serving.scheduler import (
-    _EPS_BYTES,
     ActiveRequest,
     ContinuousBatchScheduler,
+    GrowthSchedule,
     Policy,
     QueuedRequest,
     Reservation,
@@ -137,7 +137,7 @@ from repro.serving.tenancy import (
 )
 from repro.serving.tenancy import fairness as _attainment_fairness
 from repro.specdec.fleet import SpecDecConfig
-from repro.util.stats import left_sum, mean, percentile
+from repro.util.stats import left_sum, mean, percentile, repeat_add, repeat_add_below
 from repro.util.tables import Table
 
 #: Decode-step latency is memoized on context quantized (floored) to this
@@ -1373,6 +1373,13 @@ class ClusterSim:
         budget = config.kv_budget_bytes or platform.kv_budget_bytes(
             spec.model, config.weight_dtype
         )
+        block = config.block_tokens * kv_bytes_per_token(spec.model, config.kv_dtype)
+        if config.reservation is Reservation.PAGED and budget < block:
+            raise ValueError(
+                f"kv_budget_bytes={budget:g} is below one KV block of "
+                f"{spec.model.name} ({block:g} B): every request would be "
+                "rejected"
+            )
         pod = DecodePod(
             pod_id=pod_id,
             model=spec.model,
@@ -2231,15 +2238,21 @@ class ClusterSim:
         (:meth:`_quiet_horizon`), since quiet boundaries of different
         pods touch disjoint state and commute.  Under those conditions each boundary
         only accumulates time/energy/occupancy and bumps every
-        sequence's token count -- which this lane performs with the
-        exact per-boundary float-addition order of the single-step
-        path, so run digests are bit-identical.
+        sequence's token count -- which this lane reproduces bit for
+        bit: run digests are those of the single-step path.
 
-        The replay is segmented.  A boundary that grows blocks,
-        re-fetches the step cost or finds a walker lagging takes the
-        full per-boundary step; the boundaries from there to the next
-        such event (or the span's end, or the bound) form a *uniform
-        run* that repeats the same four adds with the same operands.
+        The replay is segmented.  A boundary that re-fetches the step
+        cost or finds a walker lagging takes the full per-boundary
+        step; the boundaries from there to the next cost-key change
+        (or the trigger, the bound or a walker's clock) form a *uniform
+        run*, in which every boundary adds the same ``step_s`` to the
+        clock and busy time and the same ``step_j`` to the energy.  So
+        each of those sums takes one closed form for the whole run
+        (:func:`~repro.util.stats.repeat_add`, exactly the repeated
+        adds), the clock's stopping at the bound.  Block growths inside
+        a run are checked in order on the virtual ledger; each one
+        changes the occupancy addend from the boundary after it, so the
+        occupancy integral takes one closed form per growth.
 
         Returns True when it handled the step chain (the next ``_STEP``
         event is already scheduled); False to fall back to the
@@ -2252,7 +2265,6 @@ class ClusterSim:
             return False
         active = scheduler.active
         paged = scheduler.reservation is Reservation.PAGED
-        block_tokens = scheduler.block_tokens
         # Boundaries until some sequence finishes or parks; boundary i
         # is quiet iff i < quiet (block growth is carried inside the
         # span, see below).
@@ -2278,33 +2290,10 @@ class ClusterSim:
         bound, walkers = self._quiet_horizon(now, pod)
         if bound <= now:
             return False  # another actor acts at this very timestamp
-        # Growth schedule: a sequence needs a new block every
-        # ``block_tokens`` boundaries, starting when its context first
-        # overflows its held blocks.  Min-heap of (boundary index,
-        # batch position, entry) so simultaneous growths pop in
-        # ``active`` order -- the order ``advance`` grows them.
-        gheap = None
-        v = overhead = budget = 0.0
-        if paged:
-            gheap = []
-            for pos, entry in enumerate(active):
-                first = (
-                    (entry.shared_blocks + entry.blocks_held) * block_tokens
-                    - entry.request.prompt_len - entry.tokens_done
-                )
-                if first < boundaries:
-                    gheap.append((first, pos, entry))
-            if gheap:
-                heapq.heapify(gheap)
-                # Virtual pool ledger: growths are checked and summed
-                # against these during the walk and applied to the store
-                # for real only once the span commits, so the tie-guard
-                # rollback below never has to un-grow a lease.
-                v = scheduler.kv_in_use_bytes
-                overhead = scheduler.store.resident_overhead_bytes
-                budget = scheduler.kv_budget_bytes
-            else:
-                gheap = None
+        # Growths are summed on a virtual ledger and applied to the
+        # store only once the span commits, so the tie-guard rollback
+        # below never has to un-grow a lease.
+        growths = GrowthSchedule.due(scheduler, boundaries) if paged else None
         applied: list[tuple[int, list]] = []
         batch = len(active)
         occupancy = scheduler.kv_occupancy
@@ -2329,11 +2318,13 @@ class ClusterSim:
         trigs: tuple[float, ...] = ()
         prev_t = prev_busy = prev_energy = prev_kvocc = 0.0
         # (t, busy, energy, occupancy integral) at the start of the
-        # last uniform run, and its length while it is the last thing
-        # replayed (0 once a per-boundary step follows it).
+        # last uniform run, its occupancy addends, and its length while
+        # it is the last thing replayed (0 once a per-boundary step
+        # follows it).
         run_start: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+        kv_runs: list[tuple[float, int]] = []
         run_len = 0
-        next_growth = gheap[0][0] if gheap is not None else 1 << 60
+        next_growth = growths.next if growths else 1 << 60
         # Above the context bucket the (batch, context) cost key only
         # changes every ``bucket`` boundaries; fetch once per run
         # instead of per boundary.
@@ -2363,28 +2354,14 @@ class ClusterSim:
                 if t >= bound:
                     break
             pending = None
-            if steps == next_growth:
-                # This boundary grows KV blocks.  Each must fit the
-                # free pool outright, checked in batch order with the
-                # exact ``_make_room`` predicate on the virtual ledger;
-                # a growth that misses would reclaim or preempt --
-                # observable -- so the span ends before this boundary.
-                pending = []
-                loud = False
-                while gheap and gheap[0][0] == steps:
-                    idx, pos, gentry = gheap[0]
-                    if budget - v - overhead < gentry.bytes_per_block - _EPS_BYTES:
-                        loud = True
-                        break
-                    v += gentry.bytes_per_block
-                    heapq.heappop(gheap)
-                    pending.append(gentry)
-                    nxt = idx + block_tokens
-                    if nxt < boundaries:
-                        heapq.heappush(gheap, (nxt, pos, gentry))
-                if loud:
+            if steps == next_growth and growths is not None:
+                # This boundary grows KV blocks; a loud growth (see
+                # ``GrowthSchedule.take``) ends the span before it.
+                pending = growths.take(steps)
+                if pending is None:
                     break
-                next_growth = gheap[0][0] if gheap else 1 << 60
+                next_growth = growths.next
+                grown = growths.occupancy()
             prev_t = t
             prev_busy = busy_s
             prev_energy = energy_j
@@ -2407,7 +2384,7 @@ class ClusterSim:
                 # Occupancy integrand for the boundaries *after* the
                 # growth; the growing boundary itself was metered above
                 # at the pre-growth value, as in the single-step path.
-                occupancy = (v + overhead) / budget
+                occupancy = grown
             if tie:
                 quotient += 1
                 mean = quotient + (quotient & 1)
@@ -2415,11 +2392,8 @@ class ClusterSim:
                 mean += 1
             if mean >= cost_until:
                 continue  # the next boundary re-fetches: no run
-            # Uniform run up to the next event: a block growth, the
-            # next cost-key change, the trigger, the bound or the first
-            # walker clock.  Every boundary in it repeats the same four
-            # adds with the same operands, so the hoisted product is
-            # bit-identical to the per-boundary one.  In mean units the
+            # Uniform run up to the next cost-key change, the trigger,
+            # the bound or the first walker clock.  In mean units the
             # cost holds for ``cost_until - mean`` boundaries; at a tie
             # the mean is the even one of ``quotient``/``quotient + 1``,
             # which stays below ``cost_until`` until ``quotient``
@@ -2428,8 +2402,6 @@ class ClusterSim:
                 cost_until - 1 + (cost_until & 1) - quotient if tie
                 else cost_until - mean
             )
-            if next_growth < end:
-                end = next_growth
             if boundaries < end:
                 end = boundaries
             lim = bound
@@ -2438,18 +2410,35 @@ class ClusterSim:
                     lim = walker[0]
             if end <= steps or t >= lim:
                 continue
+            # The clock's closed form stops before the add that finds it
+            # at ``lim``.  A growth inside the run meters its own
+            # boundary at the pre-growth occupancy, as the per-boundary
+            # step does; a loud one ends the run before its boundary,
+            # and the next pass finds it loud and ends the span.
             run_start = (t, busy_s, energy_j, kv_occupancy_s)
-            a = occupancy * step_s
-            run_len = end - steps
-            for i in range(run_len):
-                if t >= lim:
-                    run_len = i
+            t, run_len = repeat_add_below(t, step_s, end - steps, lim)
+            end = steps + run_len
+            kv_runs = []  # (addend, boundaries) of the occupancy integral
+            first = steps
+            while next_growth < end and growths is not None:
+                g = next_growth
+                pending = growths.take(g)
+                if pending is None:
+                    end = g
+                    run_len = g - steps
+                    t = repeat_add(run_start[0], step_s, run_len)
                     break
-                kv_occupancy_s += a
-                busy_s += step_s
-                energy_j += step_j
-                t += step_s
-            steps += run_len
+                applied.append((g, pending))
+                kv_runs.append((occupancy * step_s, g + 1 - first))
+                first = g + 1
+                occupancy = growths.occupancy()
+                next_growth = growths.next
+            kv_runs.append((occupancy * step_s, end - first))
+            for a, count in kv_runs:
+                kv_occupancy_s = repeat_add(kv_occupancy_s, a, count)
+            busy_s = repeat_add(busy_s, step_s, run_len)
+            energy_j = repeat_add(energy_j, step_j, run_len)
+            steps = end
             if tie:
                 quotient += run_len
                 mean = quotient + (quotient & 1)
@@ -2472,14 +2461,16 @@ class ClusterSim:
             if run_len:
                 # The dropped boundary closed a uniform run, which kept
                 # no per-boundary saves: replay the run from its start,
-                # one boundary short, with the same adds in order.
+                # one boundary short, occupancy addends included.
                 t, busy_s, energy_j, kv_occupancy_s = run_start
-                a = occupancy * step_s
-                for _ in range(run_len - 1):
-                    kv_occupancy_s += a
-                    busy_s += step_s
-                    energy_j += step_j
-                    t += step_s
+                short = run_len - 1
+                t = repeat_add(t, step_s, short)
+                busy_s = repeat_add(busy_s, step_s, short)
+                energy_j = repeat_add(energy_j, step_j, short)
+                for a, count in kv_runs:
+                    count = min(count, short)
+                    kv_occupancy_s = repeat_add(kv_occupancy_s, a, count)
+                    short -= count
             else:
                 t = prev_t
                 busy_s = prev_busy
@@ -2578,7 +2569,6 @@ class ClusterSim:
         if not active:
             return []
         paged = scheduler.reservation is Reservation.PAGED
-        block_tokens = scheduler.block_tokens
         boundaries = 1 << 60
         total = 0
         for entry in active:
@@ -2595,36 +2585,15 @@ class ClusterSim:
             total += request.prompt_len + done + 1
         if boundaries < 1:
             return None
-        # Growth schedule (see :meth:`_bulk_quiet_steps`): a fitting
-        # block growth is quiet, one that would reclaim or preempt is
-        # the pod's trigger.  The walk only predicts *times*, so it
-        # carries a virtual pool ledger and the per-block byte sizes --
-        # never the entries themselves.
-        gheap = None
-        v = overhead = budget = 0.0
-        if paged:
-            gheap = []
-            for pos, entry in enumerate(active):
-                first = (
-                    (entry.shared_blocks + entry.blocks_held) * block_tokens
-                    - entry.request.prompt_len - entry.tokens_done
-                )
-                if first < boundaries:
-                    gheap.append((first, pos, entry.bytes_per_block))
-            if gheap:
-                heapq.heapify(gheap)
-                v = scheduler.kv_in_use_bytes
-                overhead = scheduler.store.resident_overhead_bytes
-                budget = scheduler.kv_budget_bytes
-            else:
-                gheap = None
+        # A fitting block growth is quiet; one that would reclaim or
+        # preempt is the pod's trigger.
+        growths = GrowthSchedule.due(scheduler, boundaries) if paged else None
         batch = len(active)
         quotient, remainder = divmod(total, batch)
         tie = 2 * remainder == batch
         mean = quotient + (quotient & 1) if tie else max(1, round(total / batch))
         return [start, boundaries, quotient, mean, tie, batch,
-                pod._step_cache, pod.step_cost,
-                0, gheap, v, overhead, budget, block_tokens]
+                pod._step_cache, pod.step_cost, 0, growths]
 
     @staticmethod
     def _advance_walk(state: list, limit: float) -> float | None:
@@ -2634,39 +2603,29 @@ class ClusterSim:
         (trigger strictly later than the walk's updated clock).
 
         Segmented like :meth:`_bulk_quiet_steps`: after each
-        per-boundary step, the boundaries up to the next growth, the
-        next cost-key change or the trigger only add the same latency.
+        per-boundary step, the boundaries up to the next cost-key
+        change or the trigger only add the same latency, so the clock
+        takes one closed form per run (stopped before the add that
+        finds it past ``limit``), and growths inside the run are
+        checked in order; a loud one ends the run before its boundary.
         The walk state advances by exactly the boundaries walked, so a
         walk stopped inside such a run resumes where it stopped, and
         the clock is the same float sum however the walk is split
         across calls."""
         (t, remaining, quotient, mean, tie, batch, cache, step_cost,
-         bidx, gheap, v, overhead, budget, block_tokens) = state
+         bidx, growths) = state
         bucket = STEP_CONTEXT_BUCKET
-        next_growth = gheap[0][0] if gheap else 1 << 60
+        next_growth = growths.next if growths else 1 << 60
         cost = None
         cost_until = -1  # see the run-length fetch in _bulk_quiet_steps
         while remaining and t <= limit:
             if bidx == next_growth:
-                # KV block growths at this boundary: quiet while every
-                # one fits the free pool outright (virtual ledger, same
-                # predicate as ``_make_room``); a miss means the pod
-                # reclaims or preempts here -- the chain's trigger.
-                loud = False
-                while gheap and gheap[0][0] == bidx:
-                    idx, pos, bpb = gheap[0]
-                    if budget - v - overhead < bpb - _EPS_BYTES:
-                        loud = True
-                        break
-                    v += bpb
-                    heapq.heappop(gheap)
-                    nxt = idx + block_tokens
-                    if nxt < bidx + remaining:
-                        heapq.heappush(gheap, (nxt, pos, bpb))
-                if loud:
+                # KV block growths at this boundary: a loud one (see
+                # ``GrowthSchedule.take``) is the chain's trigger.
+                if growths.take(bidx) is None:
                     remaining = 0
                     break
-                next_growth = gheap[0][0] if gheap else 1 << 60
+                next_growth = growths.next
             if mean >= cost_until:
                 context = mean if mean <= bucket else mean // bucket * bucket
                 cost = cache.get((batch, context))
@@ -2691,13 +2650,14 @@ class ClusterSim:
             )
             if remaining < n:
                 n = remaining
-            if next_growth - bidx < n:
-                n = next_growth - bidx
-            for i in range(n):
-                if t > limit:
-                    n = i
+            start = t
+            t, n = repeat_add_below(t, step_s, n, limit, inclusive=True)
+            while next_growth < bidx + n:
+                if growths.take(next_growth) is None:
+                    n = next_growth - bidx
+                    t = repeat_add(start, step_s, n)
                     break
-                t += step_s
+                next_growth = growths.next
             if n > 0:
                 remaining -= n
                 bidx += n
@@ -2711,7 +2671,6 @@ class ClusterSim:
         state[2] = quotient
         state[3] = mean
         state[8] = bidx
-        state[10] = v
         return t if not remaining else None
 
     def _walk_tie(self, capped: list[list], t: float) -> bool:

@@ -52,6 +52,7 @@ Two queue policies:
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass, field
 from collections.abc import Callable
@@ -804,3 +805,80 @@ class ContinuousBatchScheduler:
             # keeps its ledger.)
             self.store.reset_pool_dust()
         return finished
+
+
+class GrowthSchedule:
+    """The block growths :meth:`ContinuousBatchScheduler.advance` would
+    make over a run of quiet decode boundaries (the fleet simulator's
+    bulk decode lane), checked on a virtual pool ledger (``used``)
+    instead of the store.
+
+    A sequence grows a block every ``block_tokens`` boundaries, from the
+    first at which its context overflows its blocks, until boundary
+    ``end``.  ``heap`` holds ``(boundary, batch position, entry)``, so
+    growths due together pop in ``active`` order, the order ``advance``
+    grows them; ``next`` is the earliest boundary still due.
+    """
+
+    __slots__ = ("heap", "used", "overhead", "budget", "block_tokens", "end", "next")
+
+    def __init__(
+        self,
+        heap: list[tuple[int, int, ActiveRequest]],
+        scheduler: ContinuousBatchScheduler,
+        end: int,
+    ):
+        self.heap = heap
+        self.used = scheduler.kv_in_use_bytes
+        self.overhead = scheduler.store.resident_overhead_bytes
+        self.budget = scheduler.kv_budget_bytes
+        self.block_tokens = scheduler.block_tokens
+        self.end = end
+        self.next = heap[0][0]
+
+    @classmethod
+    def due(
+        cls, scheduler: ContinuousBatchScheduler, end: int
+    ) -> GrowthSchedule | None:
+        """The growths of ``scheduler``'s batch due before boundary
+        ``end``, or ``None`` when there are none."""
+        tokens = scheduler.block_tokens
+        heap = []
+        for pos, entry in enumerate(scheduler.active):
+            first = (
+                (entry.shared_blocks + entry.blocks_held) * tokens
+                - entry.request.prompt_len - entry.tokens_done
+            )
+            if first < end:
+                heap.append((first, pos, entry))
+        if not heap:
+            return None
+        heapq.heapify(heap)
+        return cls(heap, scheduler, end)
+
+    def take(self, boundary: int) -> list[ActiveRequest] | None:
+        """The entries growing at ``boundary`` (``next``), each added to
+        the ledger in batch order; ``None`` at the first block that does
+        not fit the free pool outright (``_make_room``'s predicate),
+        which would reclaim or preempt -- observable -- so the chain
+        ends before this boundary."""
+        heap = self.heap
+        grown = []
+        while heap and heap[0][0] == boundary:
+            _, pos, entry = heap[0]
+            size = entry.bytes_per_block
+            if self.budget - self.used - self.overhead < size - _EPS_BYTES:
+                return None
+            self.used += size
+            grown.append(entry)
+            if boundary + self.block_tokens < self.end:
+                heapq.heapreplace(heap, (boundary + self.block_tokens, pos, entry))
+            else:
+                heapq.heappop(heap)
+        self.next = heap[0][0] if heap else 1 << 60
+        return grown
+
+    def occupancy(self) -> float:
+        """The pool's occupancy with the growths taken so far, in the
+        float order of ``ContinuousBatchScheduler.kv_occupancy``."""
+        return (self.used + self.overhead) / self.budget

@@ -57,6 +57,9 @@ class PipelineArbiter:
         self._busy = True
         self.grants += 1
         yield self._hold
-        self._busy = False
         if self._queue:
+            # Hand the port to the next waiter: it stays busy, so an
+            # engine arriving before the waiter resumes queues as well.
             heapq.heappop(self._queue)[2].fire()
+        else:
+            self._busy = False

@@ -8,6 +8,10 @@ they must not depend on an optional dependency or on the interpreter's
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from math import inf, nextafter, ulp
+
+#: ``2**53 - 1``: the top of a binade, less one ulp, in its ulps.
+_ULPS_IN_BINADE = 9007199254740991.0
 
 
 def percentiles(
@@ -64,6 +68,77 @@ def left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def repeat_add(x: float, c: float, n: int) -> float:
+    """``x`` after ``n`` times ``x += c``, bit for bit, without the loop.
+
+    For non-negative finite ``x`` and ``c`` whose sums stay finite.
+    Inside one binade (the doubles of one ulp spacing, the subnormals
+    joined to the lowest normal binade) an add that starts and ends
+    there rounds ``x + c`` onto that ulp grid.  After one such add has
+    settled round-half-even's parity (a tie lands on an even multiple
+    of the ulp, and every later tie keeps it even), each add moves
+    ``x`` by the same multiple ``d`` of the ulp, so ``k`` more are the
+    exact ``x + k*d`` while ``x + k*d`` stays at least one ulp below
+    the binade's top.  Entering a binade and settling there take one
+    real add each, so a call costs a few adds per binade crossed,
+    whatever ``n``.
+    """
+    while n > 0:
+        y = x + c  # settles the parity, or enters a new binade
+        n -= 1
+        u = ulp(y)
+        if not n or ulp(x) != u:
+            x = y
+            continue
+        d = (y + c) - y  # exact; the steady step if y + c stays inside
+        if not d:
+            return y
+        # In-binade adds left: a step that would leave the binade
+        # gives k = 0, and the next pass adds for real.
+        k = int((u * _ULPS_IN_BINADE - y) // d)
+        if k > n:
+            k = n
+        x = y + k * d
+        n -= k
+    return x
+
+
+def repeat_add_below(
+    x: float, c: float, n: int, limit: float, *, inclusive: bool = False
+) -> tuple[float, int]:
+    """Up to ``n`` times ``x += c``, stopping before the first add that
+    finds ``x >= limit`` (``x > limit`` with ``inclusive``): returns
+    ``(x, adds taken)``, bit for bit those of the plain loop.
+
+    The same closed form as :func:`repeat_add`; where ``limit`` falls
+    inside a settled binade stretch it is on that stretch's ulp grid,
+    so the count of adds before it is exact integer arithmetic.
+    """
+    if inclusive:
+        limit = nextafter(limit, inf)  # x > limit iff x >= this
+    taken = 0
+    while taken < n and x < limit:
+        y = x + c
+        taken += 1
+        u = ulp(y)
+        if taken == n or y >= limit or ulp(x) != u:
+            x = y
+            continue
+        d = (y + c) - y
+        if not d:
+            return y, n
+        k = int((u * _ULPS_IN_BINADE - y) // d)
+        if k > n - taken:
+            k = n - taken
+        if k and y + (k - 1) * d >= limit:
+            # The limit cuts the stretch: add j starts from
+            # y + (j - 1) * d, so ceil((limit - y) / d) adds are taken.
+            k = int(-((y - limit) // d))
+        x = y + k * d
+        taken += k
+    return x, taken
 
 
 def mean(values: Sequence[float]) -> float:

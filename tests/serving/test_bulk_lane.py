@@ -113,15 +113,30 @@ def _lockstep_burst(decode_len):
     ]
 
 
+def _tight_pool():
+    """Two sequences on one RPU decode pod whose pool runs dry while
+    they decode: a block growth that would preempt falls inside a
+    uniform run, which must end before its boundary."""
+    return fleet(LLAMA3_70B, prefill=2, decode=1, kv_budget_bytes=8e8), [
+        Request(i, 0.0, LLAMA3_70B, prompt_len=2048 - 300 * i, decode_len=1500)
+        for i in range(2)
+    ]
+
+
 #: name -> () -> (config, requests): inputs that reach lane branches no
 #: digest pin does.  In ``lockstep_burst`` the tie guard fires after a
 #: per-boundary step and after a one-boundary uniform run; in
 #: ``lockstep_burst_long`` after a six-boundary run, which the rollback
-#: replays five boundaries of.  The H100 pairs are where a uniform run
-#: must stop at a lagging walker's clock.
+#: replays five boundaries of; in ``lockstep_burst_growth`` after a run
+#: that grew blocks, so the replay must switch occupancy addends inside
+#: the run.  ``tight_pool`` ends a run at a loud growth.  The H100 pairs
+#: are where a uniform run must stop at a lagging walker's clock, and
+#: where a walked pod's runs cross its growths, quiet and loud.
 ORACLE_INPUTS = {
     "lockstep_burst": lambda: _lockstep_burst(1024),
     "lockstep_burst_long": lambda: _lockstep_burst(1500),
+    "lockstep_burst_growth": lambda: _lockstep_burst(1283),
+    "tight_pool": _tight_pool,
     "h100_pair_cot": lambda: _h100_pair(
         TrafficSpec(
             rate_rps=16.0, duration_s=6.0, seed=249,
@@ -135,6 +150,12 @@ ORACLE_INPUTS = {
             prompt_mean=2048, decode_mean=700, prefix_share_prob=0.6,
         ),
         prefix_caching=True,
+    ),
+    "h100_pair_walk_growths": lambda: _h100_pair(
+        TrafficSpec(
+            rate_rps=16.0, duration_s=3.0, seed=2,
+            prompt_mean=1024, decode_mean=1200,
+        )
     ),
 }
 
@@ -164,7 +185,7 @@ def _walk_state(start, boundaries, total, batch):
     tie = 2 * remainder == batch
     mean = quotient + (quotient & 1) if tie else max(1, round(total / batch))
     return [start, boundaries, quotient, mean, tie, batch,
-            {}, _step_cost, 0, None, 0.0, 0.0, 0.0, 16]
+            {}, _step_cost, 0, None]
 
 
 @pytest.mark.parametrize("batch", range(1, 7))

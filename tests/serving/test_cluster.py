@@ -10,6 +10,8 @@ from fleets import fleet
 from repro.analysis.perf_model import system_for
 from repro.api import PodGroup, Scenario
 from repro.gpu.system import GpuSystem
+from repro.models.dtypes import DType
+from repro.models.kv_cache import kv_bytes_per_token
 from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
 from repro.models.workload import Workload
 from repro.platform import GpuPlatform, RpuPlatform
@@ -685,6 +687,20 @@ class TestConfigValidation:
     def test_host_capacity_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             self.config(host_kv_bytes=0.0)
+
+    def test_paged_budget_below_one_block_rejected(self):
+        """A PAGED pod whose budget cannot hold one KV block of its
+        model would reject every request; the fleet refuses to build."""
+        block = 128 * kv_bytes_per_token(LLAMA3_8B, DType.FP8)
+        assert block == 8_388_608
+        for budget in (1e6, block - 1.0):
+            config = Scenario(LLAMA3_8B, kv_budget_bytes=budget).cluster()
+            with pytest.raises(ValueError, match="kv_budget_bytes"):
+                ClusterSim(config)
+        ClusterSim(Scenario(LLAMA3_8B, kv_budget_bytes=block).cluster())
+        ClusterSim(Scenario(
+            LLAMA3_8B, kv_budget_bytes=1e6, reservation=Reservation.FULL
+        ).cluster())
 
     def test_prefix_caching_requires_paged(self):
         with pytest.raises(ValueError):

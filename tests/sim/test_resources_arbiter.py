@@ -152,6 +152,31 @@ class TestArbiter:
         assert arbiter.grants == 6
         assert arbiter.conflicts == 5
 
+    def test_release_hands_the_port_to_the_queued_waiter(self):
+        """A newcomer arriving at the very instant the holder releases,
+        before the woken waiter resumes, must queue: the port passes to
+        the waiter, so no two holds overlap."""
+        sim = Simulator()
+        arbiter = PipelineArbiter(sim, "a", access_time_s=1.0)
+        holds = []
+
+        def engine(name, *delays):
+            for delay in delays:
+                yield Timeout(delay)
+            yield from arbiter.access(name)
+            holds.append((name, sim.now - 1.0, sim.now))
+
+        sim.process(engine("memory", 0.0))  # holds [0, 1)
+        sim.process(engine("network", 0.5))  # queues behind it
+        # Resumes at 1.0 after the holder's release (scheduled later).
+        sim.process(engine("compute", 0.25, 0.75))
+        sim.run()
+        assert holds == [
+            ("memory", 0.0, 1.0), ("network", 1.0, 2.0), ("compute", 2.0, 3.0)
+        ]
+        assert arbiter.grants == 3
+        assert arbiter.conflicts == 2
+
     def test_rejects_negative_access_time(self):
         with pytest.raises(ValueError):
             PipelineArbiter(Simulator(), "a", access_time_s=-1.0)

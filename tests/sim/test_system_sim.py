@@ -37,7 +37,7 @@ def bs32_result():
 #: The CU points whose output and core-0 traces are pinned, by name:
 #: (batch, context, memory sized to the footprint, simulated cores).
 #: Each runs Llama3-8B on 64 CUs.  The two 2-core points never queue at
-#: BS=32 and rarely at BS=1; all 16 cores of one CU queue 109 times, so
+#: BS=32 and rarely at BS=1; all 16 cores of one CU queue 74 times, so
 #: the last point also pins the arbiter's wait order.
 PIN_POINTS = {
     "bs1": (1, 4096, False, 2),
@@ -220,9 +220,9 @@ class TestOutputPin:
     or the event order that moves any bit fails here."""
 
     PINS = {
-        "bs1": "47cebb79be966b5d235755fa98b55bbfde2827816354f17618c4603e77a8ee98",
+        "bs1": "0c1b9f9f86f9ba15e6eb3c1de969ecb7408477d0370fde8681745d02fc88f51c",
         "bs32": "3f55324f163755c08417bf829f82f1fb445e946e768b6d9d911c54d0bfb4f52e",
-        "bs1_16core": "0cbaa56555de48db308dc4027cad3e38e05dedde2a254af3d2ab747b3f47bffd",
+        "bs1_16core": "09a0610abf74bbf4199addbbc8ceda6c38da4fb397e543ce3ff4cb0c1bc91901",
     }
 
     @staticmethod
@@ -251,7 +251,7 @@ class TestOutputPin:
         assert self.output_digest(pinned["bs32"]) == self.PINS["bs32"]
 
     def test_16core_output_is_pinned(self, pinned):
-        assert pinned["bs1_16core"].arbitration == {"grants": 13424, "conflicts": 109}
+        assert pinned["bs1_16core"].arbitration == {"grants": 13424, "conflicts": 74}
         assert self.output_digest(pinned["bs1_16core"]) == self.PINS["bs1_16core"]
 
 
@@ -261,9 +261,9 @@ class TestCoreTracePin:
     interval of the three pipelines, floats rendered by ``repr``."""
 
     PINS = {
-        "bs1": "6a135e62d0673e9be35506762456f565181fe0616898c0fb14bd97c605e2bd52",
+        "bs1": "3e2467342911ecd2e4108461936536f24a822e4cfcd68b50be6fd675591c40aa",
         "bs32": "4bec39cc13fe847142745627c36214a3a5472bd14472e7674fab26a083c18646",
-        "bs1_16core": "2ec8b060501705c74f3429c617fba1970bf3cda6b8e3471bec0bf56cde079322",
+        "bs1_16core": "5a238cef9f994c38fc3369e5b068fb1fcd4fac0b1b656986af1bede5c1e8eacb",
     }
 
     @staticmethod

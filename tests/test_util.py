@@ -1,9 +1,12 @@
-"""Tests for repro.util: units, tables, Pareto helpers."""
+"""Tests for repro.util: units, tables, Pareto helpers, statistics."""
+
+from math import inf, nextafter, ulp
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.util.pareto import dominates, pareto_front
+from repro.util.stats import repeat_add, repeat_add_below
 from repro.util.tables import Table, format_cell
 from repro.util.units import fmt_bytes, fmt_energy, fmt_power, fmt_time
 
@@ -185,3 +188,91 @@ class TestStats:
         assert left_sum(iter(values)) == 0.0
         assert mean(values) == 0.0
         assert left_sum([]) == 0
+
+
+def _added(x, c, n):
+    """The reference: ``x`` after ``n`` times ``x += c``, one at a time."""
+    for _ in range(n):
+        x += c
+    return x
+
+
+def _added_below(x, c, n, limit, inclusive):
+    """The reference for :func:`repeat_add_below`: the loop that checks
+    the limit before every add."""
+    taken = 0
+    while taken < n and (x <= limit if inclusive else x < limit):
+        x += c
+        taken += 1
+    return x, taken
+
+
+_SIGNIFICAND = st.floats(min_value=1.0, max_value=2.0, exclude_max=True)
+
+
+@st.composite
+def _repeated_adds(draw):
+    """``(x, c, n)`` at the closed form's edges: zeros, subnormals,
+    half-ulp ties from odd and even starts, and binade crossings."""
+    kind = draw(st.sampled_from(("zero", "subnormal", "tie", "crossing", "any")))
+    n = draw(st.integers(min_value=0, max_value=600))
+    if kind == "subnormal":
+        # Below 2**-1021 the ulp is 5e-324 throughout.
+        x = draw(st.integers(0, 2**52)) * 5e-324
+        return x, draw(st.integers(0, 2**20)) * 5e-324, n
+    x = draw(_SIGNIFICAND) * 2.0 ** draw(st.integers(-40, 40))
+    if kind == "zero":
+        return (0.0, x, n) if draw(st.booleans()) else (x, 0.0, n)
+    if kind == "tie":
+        # An odd number of half ulps: every add inside x's binade ties.
+        return x, (2 * draw(st.integers(0, 2**12)) + 1) * ulp(x) / 2, n
+    c = x * draw(_SIGNIFICAND) * 2.0 ** -draw(st.integers(0, 45))
+    if kind == "crossing":
+        # A few adds below a power of two, so the run crosses it.
+        top = 2.0 ** draw(st.integers(-40, 40))
+        c = top * draw(_SIGNIFICAND) * 2.0 ** -draw(st.integers(2, 45))
+        x = max(0.0, top - draw(st.integers(0, 40)) * c - draw(_SIGNIFICAND) * c)
+    return x, c, n
+
+
+class TestRepeatAdd:
+    """The closed forms against the loop they replace, bit for bit."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_repeated_adds())
+    def test_repeat_add_is_the_loop(self, case):
+        x, c, n = case
+        assert repeat_add(x, c, n).hex() == _added(x, c, n).hex(), case
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_repeated_adds(), st.data())
+    def test_repeat_add_below_is_the_loop(self, case, data):
+        """Limits at a value the loop reaches, one ulp either side of
+        one, anywhere on the way, below the start and at infinity; each
+        checked as ``x >= limit`` and as ``x > limit``."""
+        x, c, n = case
+        reached = data.draw(st.integers(0, n).map(lambda j: _added(x, c, j)))
+        limit = data.draw(st.one_of(
+            st.just(reached),
+            st.sampled_from((-inf, inf)).map(lambda way: nextafter(reached, way)),
+            st.floats(min_value=0.0, max_value=_added(x, c, n) + 1.0),
+            st.just(inf),
+        ))
+        for inclusive in (False, True):
+            got = repeat_add_below(x, c, n, limit, inclusive=inclusive)
+            want = _added_below(x, c, n, limit, inclusive)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (
+                case, limit, inclusive,
+            )
+
+    def test_edges(self):
+        """No adds, an addend lost below half an ulp, and a tie from an
+        odd significand, which settles on the first add."""
+        assert repeat_add(1.5, 2.0, 0) == 1.5
+        assert repeat_add_below(1.5, 2.0, 0, inf) == (1.5, 0)
+        assert repeat_add(1.0, ulp(1.0) / 4, 10**9) == 1.0
+        odd = nextafter(1.0, 2.0)
+        tie = 3 * ulp(1.0) / 2
+        assert repeat_add(odd, tie, 1001) == _added(odd, tie, 1001)
+        assert repeat_add_below(0.0, 1.0, 10, 3.0) == (3.0, 3)
+        assert repeat_add_below(0.0, 1.0, 10, 3.0, inclusive=True) == (4.0, 4)
