@@ -58,6 +58,7 @@ The named sweeps:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
 
@@ -65,7 +66,7 @@ from repro.api import PodGroup, Scenario, TrafficSpec
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import kv_cache_bytes
 from repro.platform import KV_TRANSFER_BYTES_PER_S
-from repro.serving.cluster import ClusterReport, PrefillPolicy
+from repro.serving.cluster import ClusterReport, ClusterSim, PrefillPolicy
 from repro.serving.kvstore import SwapPolicy, swap_recompute_costs
 from repro.serving.requests import Request
 from repro.serving.scheduler import Reservation
@@ -92,20 +93,24 @@ def _apply(base: Scenario, overrides: Sequence[Mapping[str, object]]) -> Scenari
 def sweep(base: Scenario, *axes: Sequence[Mapping[str, object]]) -> Rows:
     """Run ``base`` at every point of the product of ``axes``.
 
-    Every point is built before the first one simulates, so a misspelt
-    field raises ``TypeError`` (naming it) up front, and an incoherent
-    knob value -- a serving knob or a ``traffic.<field>`` one -- raises
-    the ``ValueError`` that names its field.
+    Every point and its fleet are built before the first one simulates,
+    so a misspelt field raises ``TypeError`` (naming it) up front, and
+    an incoherent knob value -- a serving knob, a ``traffic.<field>``
+    one, or a KV budget below one block, which the fleet build checks --
+    raises the ``ValueError`` that names its field.
     """
     points = [_apply(base, combo) for combo in itertools.product(*axes)]
+    # Each fleet leaves the queue as it runs, so a finished one is freed.
+    fleets = deque(ClusterSim(point.cluster()) for point in points)
     rows: Rows = []
     requests: list[Request] = []
     traffic: tuple[ModelConfig, TrafficSpec] | None = None
     for point in points:
+        fleet = fleets.popleft()
         if (point.model, point.traffic) != traffic:
             traffic = (point.model, point.traffic)
             requests = point.requests()
-        rows.append((point, point.run(requests)))
+        rows.append((point, fleet.run(requests)))
     return rows
 
 

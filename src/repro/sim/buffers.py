@@ -35,7 +35,12 @@ class _Entry:
 
 
 class SramBuffer:
-    """A byte-budgeted buffer of keyed entries with valid counters."""
+    """A byte-budgeted buffer of keyed entries with valid counters.
+
+    :meth:`try_allocate` and :meth:`try_read` are its non-blocking
+    steps; the process phases :meth:`allocate` and :meth:`read` retry
+    them, waiting for space or for a commit in between.
+    """
 
     def __init__(
         self, sim: Simulator, name: str, capacity_bytes: float, *, trace: bool = False
@@ -61,34 +66,44 @@ class SramBuffer:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def allocate(self, key: str, nbytes: float, valid_count: int = 1):
-        """Process phase: reserve space for entry ``key`` (DMA setup).
+    def try_allocate(self, key: str, nbytes: float, valid_count: int = 1) -> bool:
+        """Reserve space for entry ``key`` if it fits now and return
+        ``True``; otherwise change nothing and return ``False``.
 
-        Yields until capacity is available.  The entry is *not* yet valid:
-        consumers block until :meth:`commit` (the DMA completion event).
+        An entry larger than the whole buffer, or a second write to a
+        live entry, raises :class:`BufferError`.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if valid_count < 1:
             raise ValueError("valid_count must be >= 1")
-        if nbytes > self.capacity_bytes:
-            raise BufferError(
-                f"{self.name}: entry {key!r} ({nbytes:.0f} B) exceeds buffer "
-                f"capacity ({self.capacity_bytes:.0f} B)"
-            )
-        start = self.sim.now
-        while self.occupancy_bytes + nbytes > self.capacity_bytes:
-            gate = self.sim.signal()
-            self._space_waiters.append(gate)
-            yield gate
-        self.write_stall_s += self.sim.now - start
-
+        if self.occupancy_bytes + nbytes > self.capacity_bytes:
+            if nbytes > self.capacity_bytes:
+                raise BufferError(
+                    f"{self.name}: entry {key!r} ({nbytes:.0f} B) exceeds buffer "
+                    f"capacity ({self.capacity_bytes:.0f} B)"
+                )
+            return False
         if key in self._entries:
             raise BufferError(f"{self.name}: double write to entry {key!r}")
         self._entries[key] = _Entry(nbytes, valid_count)
         self.occupancy_bytes += nbytes
         if self.occupancy_trace is not None:
             self._record()
+        return True
+
+    def allocate(self, key: str, nbytes: float, valid_count: int = 1):
+        """Process phase: reserve space for entry ``key`` (DMA setup).
+
+        Yields until capacity is available.  The entry is *not* yet valid:
+        consumers block until :meth:`commit` (the DMA completion event).
+        """
+        start = self.sim.now
+        while not self.try_allocate(key, nbytes, valid_count):
+            gate = self.sim.signal()
+            self._space_waiters.append(gate)
+            yield gate
+        self.write_stall_s += self.sim.now - start
 
     def commit(self, key: str) -> None:
         """Publish entry ``key``: the data has landed; wake consumers."""
@@ -99,50 +114,50 @@ class SramBuffer:
         for gate in self._read_waiters.pop(key, ()):
             gate.fire()
 
-    def write(self, key: str, nbytes: float, valid_count: int = 1):
-        """Process phase: allocate + commit in one step."""
-        yield from self.allocate(key, nbytes, valid_count)
-        self.commit(key)
-
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def read(self, key: str, decrement: bool = True):
-        """Process phase: block until ``key`` is valid; optionally consume.
+    def try_read(self, key: str, decrement: bool = True) -> bool:
+        """Read entry ``key`` if it is committed and return ``True``;
+        otherwise change nothing and return ``False``.
 
         With ``decrement`` (the paper's check-valid + decrement mode) the
         entry's valid counter drops by one and its bytes are released when
         it reaches zero.
         """
-        start = self.sim.now
         entry = self._entries.get(key)
-        while entry is None or not entry.committed:
-            gate = self.sim.signal()
-            self._read_waiters.setdefault(key, []).append(gate)
-            yield gate
-            entry = self._entries.get(key)
-        self.read_stall_s += self.sim.now - start
+        if entry is None or not entry.committed:
+            return False
         if decrement:
             if entry.valid_count <= 0:
                 raise BufferError(f"{self.name}: over-consumed entry {key!r}")
             entry.valid_count -= 1
             if entry.valid_count == 0:
                 self._release(key)
+        return True
 
-    def contains(self, key: str) -> bool:
-        return key in self._entries
+    def read(self, key: str, decrement: bool = True):
+        """Process phase: block until ``key`` is committed, then
+        :meth:`try_read` it."""
+        start = self.sim.now
+        while not self.try_read(key, decrement):
+            gate = self.sim.signal()
+            self._read_waiters.setdefault(key, []).append(gate)
+            yield gate
+        self.read_stall_s += self.sim.now - start
 
     def _release(self, key: str) -> None:
         entry = self._entries.pop(key)
-        self.occupancy_bytes -= entry.nbytes
-        if self.occupancy_bytes < -1e-9:
+        occupancy = self.occupancy_bytes - entry.nbytes
+        if occupancy < -1e-9:
             raise BufferError(f"{self.name}: negative occupancy")
-        self.occupancy_bytes = max(self.occupancy_bytes, 0.0)
+        self.occupancy_bytes = max(occupancy, 0.0)
         if self.occupancy_trace is not None:
             self._record()
-        waiters, self._space_waiters = self._space_waiters, []
-        for gate in waiters:
-            gate.fire()
+        if self._space_waiters:
+            waiters, self._space_waiters = self._space_waiters, []
+            for gate in waiters:
+                gate.fire()
 
     def _record(self) -> None:
         self.occupancy_trace.append((self.sim.now, self.occupancy_bytes))

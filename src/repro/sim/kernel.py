@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections.abc import Generator
 from typing import Any
 
@@ -124,26 +125,32 @@ class Simulator:
     def run(self, until: float | None = None) -> float:
         """Run to quiescence (or to ``until``); returns the final time.
 
-        Each event resumes its process here.  A yielded :class:`Timeout`
-        goes straight back on the heap, keyed ``(now + delay, seq)``; a
-        :class:`Signal` or :class:`Process` takes the process as a
-        waiter.
+        Each event is popped once and resumes its process here.  A
+        yielded :class:`Timeout` goes straight back on the heap, keyed
+        ``(now + delay, seq)``; a :class:`Signal` or :class:`Process`
+        takes the process as a waiter.  The first event later than
+        ``until`` goes back on the heap under its own key, and the clock
+        stops at ``until``, which may not lie before the current time.
         """
+        now = self.now
+        if until is not None and until < now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock already reads {now}"
+            )
+        limit = math.inf if until is None else until
         heap = self._heap
         counter = self._counter
         heappop = heapq.heappop
         heappush = heapq.heappush
         while heap:
-            time, _seq, process, value = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            heappop(heap)
-            if time < self.now:
-                raise SimulationError(
-                    f"time went backwards: {time} < {self.now}"
-                )
-            self.now = time
+            time, seq, process, value = heappop(heap)
+            if time > limit:
+                heappush(heap, (time, seq, process, value))
+                self.now = limit
+                return limit
+            if time < now:
+                raise SimulationError(f"time went backwards: {time} < {now}")
+            self.now = now = time
             if process.done:
                 raise SimulationError(f"process {process.name} resumed after finishing")
             try:

@@ -33,11 +33,10 @@ from repro.arch.system import RpuSystem
 from repro.compiler.lowering import compile_decode_step
 from repro.isa.program import Program
 from repro.models.workload import Workload
-from repro.quant.stream_decoder import StreamDecoder
 from repro.sim.arbiter import PipelineArbiter
 from repro.sim.buffers import SramBuffer
 from repro.sim.energy import EnergyMeter
-from repro.sim.engines import CoreContext, EnergyRecords, run_core
+from repro.sim.engines import CoreContext, build_plan, run_core
 from repro.sim.kernel import Simulator
 from repro.sim.resources import BandwidthResource
 from repro.sim.results import SimResult
@@ -69,15 +68,13 @@ def simulate_decode_step(
 
     sim = Simulator()
     meter = EnergyMeter()
-    records = EnergyRecords()
     spec = system.cu.core.spec
-    device_energy = system.cu.memory.energy.as_dict()
+    # One plan for every core: the cores run one SPMD program.
+    plan = build_plan(program.core, system, workload.weight_dtype)
 
     # The CU's ring interface, scaled to the simulated cores' share.
     link = BandwidthResource(
-        sim,
-        "cu-link",
-        RING_LINK_BANDWIDTH_BYTES_PER_S * detail_cores / CORES_PER_CU,
+        sim, RING_LINK_BANDWIDTH_BYTES_PER_S * detail_cores / CORES_PER_CU
     )
 
     contexts: list[CoreContext] = []
@@ -88,30 +85,23 @@ def simulate_decode_step(
         ctx = CoreContext(
             sim=sim,
             name=name,
+            plan=plan,
             mem_buffer=SramBuffer(
                 sim, f"{name}.membuf", spec.mem_buffer_bytes, trace=traced
             ),
             net_buffer=SramBuffer(
                 sim, f"{name}.netbuf", spec.net_buffer_bytes, trace=traced
             ),
-            channel=BandwidthResource(
-                sim, f"{name}.hbm", system.cu.core.mem_bandwidth_bytes_per_s
-            ),
+            channel=BandwidthResource(sim, system.cu.core.mem_bandwidth_bytes_per_s),
             link=link,
-            arbiter=PipelineArbiter(sim, f"{name}.arbiter"),
+            arbiter=PipelineArbiter(sim),
             meter=meter,
-            records=records,
             mem_trace=PipelineTrace("memory") if traced else None,
             comp_trace=PipelineTrace("compute") if traced else None,
             net_trace=PipelineTrace("network") if traced else None,
-            peak_flops=spec.peak_flops,
-            peak_vops=spec.peak_vops,
-            device_energy=device_energy,
-            weight_dtype=workload.weight_dtype,
-            decoder=StreamDecoder(clock_hz=spec.clock_hz),
         )
         contexts.append(ctx)
-        run_core(ctx, program.core)
+        run_core(ctx)
 
     latency = sim.run()
 

@@ -10,8 +10,8 @@ import pytest
 from repro.analysis import cluster_sweep
 from repro.analysis.cluster_sweep import swap_costs, sweep
 from repro.api import PodGroup, Scenario, TrafficSpec
-from repro.models.llama3 import LLAMA3_70B
-from repro.serving.cluster import PrefillPolicy
+from repro.models.llama3 import LLAMA3_8B, LLAMA3_70B
+from repro.serving.cluster import ClusterSim, PrefillPolicy
 from repro.serving.engine import report_digest
 from repro.serving.requests import prefix_founders, sibling_ttft_mean
 from repro.serving.scheduler import Reservation
@@ -155,13 +155,36 @@ class TestSweep:
         sweep(self.BASE, budgets, seeds)  # traffic alternates: no sharing
         assert calls == [0, 1, 0, 1]
 
-    def test_unknown_field_raises_before_any_point_runs(self, monkeypatch):
+    @staticmethod
+    def count_runs(monkeypatch):
+        """Every ``ClusterSim.run`` call from here on, by simulator."""
         ran = []
-        monkeypatch.setattr(Scenario, "run", lambda self, r=None: ran.append(self))
+        run = ClusterSim.run
+
+        def counting(self, requests):
+            ran.append(self)
+            return run(self, requests)
+
+        monkeypatch.setattr(ClusterSim, "run", counting)
+        return ran
+
+    def test_unknown_field_raises_before_any_point_runs(self, monkeypatch):
+        ran = self.count_runs(monkeypatch)
         with pytest.raises(TypeError, match="'kv_budget'"):
             sweep(self.BASE, [{"reservation": Reservation.FULL}, {"kv_budget": 1e9}])
         with pytest.raises(TypeError, match="'rate'"):
             sweep(self.BASE, [{"traffic.rate": 2.0}])
+        assert ran == []
+
+    def test_fleet_check_raises_before_any_point_runs(self, monkeypatch):
+        """A KV budget below one block fails only when the fleet is
+        built; every point's fleet is built before the first runs."""
+        ran = self.count_runs(monkeypatch)
+        base = Scenario(LLAMA3_8B, traffic=TrafficSpec(rate_rps=1.0, duration_s=5.0))
+        with pytest.raises(
+            ValueError, match=r"kv_budget_bytes=1e\+06 is below one KV block"
+        ):
+            sweep(base, [{"kv_budget_bytes": 3e9}, {"kv_budget_bytes": 1e6}])
         assert ran == []
 
 

@@ -140,6 +140,27 @@ def test_run_until_stops_early():
     assert sim.run() == 10.0
 
 
+def test_run_until_before_now_raises():
+    """The clock never moves backwards: a second ``run`` whose ``until``
+    lies before the time the first reached raises, naming both times,
+    and leaves the clock and the pending events as they were."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield Timeout(20.0)
+        log.append(sim.now)
+
+    sim.process(proc())
+    assert sim.run(until=12.0) == 12.0
+    with pytest.raises(SimulationError, match=r"until 5\.0: the clock already reads 12\.0"):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    assert sim.run(until=12.0) == 12.0
+    assert sim.run() == 20.0
+    assert log == [20.0]
+
+
 def test_invalid_yield_raises():
     sim = Simulator()
 

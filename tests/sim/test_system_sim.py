@@ -7,11 +7,17 @@ import json
 import pytest
 
 from repro.analysis.perf_model import decode_step_perf
+from repro.arch.specs import CORES_PER_CU, CU_HOP_LATENCY_S
 from repro.arch.system import RpuSystem
+from repro.compiler.lowering import compile_decode_step
+from repro.isa.instructions import MemLoad, NetCollective, NetForward, SlotRef
+from repro.isa.program import CoreProgram, Program
 from repro.memory.sku import sku_for_system
 from repro.models.llama3 import LLAMA3_8B
 from repro.models.workload import Workload
+from repro.quant.stream_decoder import StreamDecoder
 from repro.sim import engines, system_sim
+from repro.sim.buffers import BufferError
 from repro.sim.energy import EnergyRecord
 from repro.sim.system_sim import simulate_decode_step
 
@@ -158,9 +164,9 @@ class TestValidation:
         contexts = []
         run_core = system_sim.run_core
 
-        def spy(ctx, program):
+        def spy(ctx):
             contexts.append(ctx)
-            run_core(ctx, program)
+            run_core(ctx)
 
         monkeypatch.setattr(system_sim, "run_core", spy)
         workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
@@ -177,17 +183,17 @@ class TestValidation:
             assert ctx.mem_buffer.occupancy_trace is None
             assert ctx.net_buffer.occupancy_trace is None
 
-    def test_one_record_table_per_simulation(self, monkeypatch):
-        """A simulation's cores share one table of energy records, with
-        one record object per shape, built once; the next simulation
-        starts a new table."""
-        tables = []
+    def test_one_plan_per_simulation(self, monkeypatch):
+        """A simulation's cores share one plan, which holds one record
+        object per energy shape, built once; the next simulation builds
+        its own plan and records."""
+        plans = []
         built = []
         run_core = system_sim.run_core
 
-        def spy(ctx, program):
-            tables.append(ctx.records)
-            run_core(ctx, program)
+        def spy(ctx):
+            plans.append(ctx.plan)
+            run_core(ctx)
 
         class CountedRecord(EnergyRecord):
             __slots__ = ()
@@ -201,17 +207,90 @@ class TestValidation:
         workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
         for _ in range(2):
             simulate_decode_step(RpuSystem(64), workload, detail_cores=3)
-        assert tables[0] is tables[1] is tables[2]
-        assert tables[3] is tables[4] is tables[5]
-        assert tables[0] is not tables[3]
-        stored = [
-            id(record)
-            for table in (tables[0], tables[3])
-            for shapes in (table.mem, table.comp, table.net)
-            for record in shapes.values()
-        ]
+        assert plans[0] is plans[1] is plans[2]
+        assert plans[3] is plans[4] is plans[5]
+        assert plans[0] is not plans[3]
+        program = compile_decode_step(workload, RpuSystem(64)).core
+        shapes = (
+            {i.nbytes for i in program.mem},
+            {(i.engine, i.flops, i.weight_bytes, i.out_bytes) for i in program.comp},
+            {
+                i.nbytes if isinstance(i, NetForward)
+                else i.payload_bytes / CORES_PER_CU + i.local_bytes
+                for i in program.net
+            },
+        )
+        stored = []
+        for plan in (plans[0], plans[3]):
+            for steps, group_shapes in zip((plan.mem, plan.comp, plan.net), shapes):
+                records = {id(step[-1]) for step in steps}
+                assert len(records) == len(group_shapes)
+                stored += records
         assert sorted(stored) == sorted(map(id, built))
-        assert len(set(stored)) == len(stored)
+
+    def test_plan_shares_one_timeout_per_duration(self):
+        """Each compute step waits exactly its instruction's duration and
+        each collective its hop chain; steps of equal duration share one
+        ``Timeout``, and no ``Timeout`` serves two durations."""
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        system = RpuSystem(64)
+        program = compile_decode_step(workload, system).core
+        plan = engines.build_plan(program, system, workload.weight_dtype)
+        spec = system.cu.core.spec
+        decode_bandwidth = StreamDecoder(
+            clock_hz=spec.clock_hz
+        ).compressed_bandwidth_bytes_per_s(workload.weight_dtype)
+        waits = []
+        for instr, (_reads, busy, *_rest) in zip(program.comp, plan.comp, strict=True):
+            rate = spec.peak_flops if instr.engine == "tmac" else spec.peak_vops
+            duration = instr.flops / rate if instr.flops else 0.0
+            if instr.weight_bytes:
+                duration = max(duration, instr.weight_bytes / decode_bandwidth)
+            assert (busy.delay if busy else 0.0) == duration
+            waits.append(busy)
+        for instr, (_key, _local, _count, _link, hop, *_rest) in zip(
+            program.net, plan.net, strict=True
+        ):
+            if isinstance(instr, NetCollective) and instr.participants > 1:
+                assert hop.delay == (instr.participants - 1) * CU_HOP_LATENCY_S
+                waits.append(hop)
+            else:
+                assert hop is None
+        timeouts = {id(wait): wait for wait in waits if wait is not None}
+        delays = {wait.delay for wait in timeouts.values()}
+        assert len(timeouts) == len(delays) > 1
+
+    @staticmethod
+    def hand_built(*loads):
+        return Program(CoreProgram(mem=list(loads)), num_cus=64, cores_per_cu=16)
+
+    def test_load_larger_than_the_memory_buffer_raises(self):
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        system = RpuSystem(64)
+        capacity = system.cu.core.spec.mem_buffer_bytes
+        program = self.hand_built(MemLoad(SlotRef("mem", "w.big"), 2 * capacity))
+        with pytest.raises(
+            BufferError, match=r"core0\.membuf: entry 'w\.big' .* exceeds buffer capacity"
+        ):
+            simulate_decode_step(system, workload, program=program)
+
+    def test_entry_written_twice_raises(self):
+        workload = Workload(LLAMA3_8B, batch_size=1, seq_len=4096)
+        program = self.hand_built(
+            MemLoad(SlotRef("mem", "w0"), 1024.0), MemLoad(SlotRef("mem", "w0"), 1024.0)
+        )
+        with pytest.raises(BufferError, match=r"core0\.membuf: double write to entry 'w0'"):
+            simulate_decode_step(RpuSystem(64), workload, program=program)
+
+    def test_pins_cover_every_waiting_path(self, pinned):
+        """The pinned points take each resource's waiting process phase,
+        not only its inline step: the 16 cores queue at their arbiters,
+        and allocations and reads wait in both buffers."""
+        cores16, bs32 = pinned["bs1_16core"], pinned["bs32"]
+        assert cores16.arbitration["conflicts"] > 0
+        assert cores16.stalls["net_buffer_write_stall_s"] > 0
+        assert cores16.stalls["compute_read_stall_s"] > 0
+        assert bs32.stalls["mem_buffer_write_stall_s"] > 0
 
 
 class TestOutputPin:

@@ -1,9 +1,11 @@
 """Regenerate or verify every digest pin table.
 
-Three tables are checked: the engine digests (``DIGESTS`` in
-``tests/serving/test_engine.py``) and the two CU simulator pins
+Four tables are checked: the engine digests (``DIGESTS`` in
+``tests/serving/test_engine.py``), the two CU simulator pins
 (``TestOutputPin.PINS`` and ``TestCoreTracePin.PINS`` in
-``tests/sim/test_system_sim.py``, over that module's ``PIN_POINTS``).
+``tests/sim/test_system_sim.py``, over that module's ``PIN_POINTS``)
+and perfbench's ``cu_405b`` digest (``PINS`` in
+``tests/test_perfbench_digests.py``, computed by perfbench's own code).
 
 Capture (maintainer flow) -- run on a checkout whose simulator behavior
 is the intended baseline and paste each emitted dict over its table::
@@ -40,6 +42,7 @@ def _load(name: str, path: pathlib.Path):
 
 mod = _load("test_engine", ROOT / "tests" / "serving" / "test_engine.py")
 cu = _load("test_system_sim", ROOT / "tests" / "sim" / "test_system_sim.py")
+bench = _load("test_perfbench_digests", ROOT / "tests" / "test_perfbench_digests.py")
 
 from repro.serving.cluster import simulate  # noqa: E402
 from repro.serving.engine import report_digest  # noqa: E402
@@ -73,6 +76,16 @@ def compute_cu_pins() -> tuple[dict[str, str], dict[str, str]]:
     return outputs, traces
 
 
+def compute_perfbench_pins() -> dict[str, str]:
+    """Each pinned perfbench workload's digest."""
+    digests = {}
+    for name in bench.PINS:
+        t0 = time.perf_counter()
+        digests[name] = bench.perfbench_digest(name)
+        print(f"    # perfbench {name}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return digests
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -86,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         ("DIGESTS", mod.DIGESTS, compute_digests()),
         ("TestOutputPin.PINS", cu.TestOutputPin.PINS, outputs),
         ("TestCoreTracePin.PINS", cu.TestCoreTracePin.PINS, traces),
+        ("test_perfbench_digests.PINS", bench.PINS, compute_perfbench_pins()),
     ]
     if not args.check:
         for label, _pinned, digests in tables:
